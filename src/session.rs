@@ -20,7 +20,8 @@
 //! * `CREATE FAMILY` runs its query through the plan → optimize →
 //!   columnar-execute pipeline, pivots the rows into feature-family
 //!   frames ([`explainit_query::pivot_wide`] / [`pivot_long`] /
-//!   [`pivot_one`]) and registers them with the engine;
+//!   [`pivot_one`]) and registers them with the engine; its summary
+//!   reports the query and pivot times separately;
 //! * `EXPLAIN FOR` runs Algorithm 1 and returns the ranking as an
 //!   ordinary [`Table`], also registered in the catalog under
 //!   [`RANKING_TABLE`] so later `SELECT`s compose with it;
@@ -34,6 +35,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::time::Instant;
 
 use explainit_core::{
     auto_select_scorer, CoreError, Engine, EngineConfig, FeatureFamily, Ranking, ScorerKind,
@@ -312,7 +314,9 @@ impl Session {
 
     /// `CREATE FAMILY`: stage-one query → pivot → engine registration.
     fn create_family(&mut self, cf: &CreateFamily) -> Result<StatementOutcome> {
+        let started = Instant::now();
         let table = self.catalog.execute_query_with(&cf.query, self.exec_options)?;
+        let query_elapsed = started.elapsed();
         if table.is_empty() {
             return Err(SessionError::Statement(format!(
                 "CREATE FAMILY {}: the stage-one query returned no rows",
@@ -320,7 +324,9 @@ impl Session {
             )));
         }
         let spec = PivotSpec::parse(&cf.options)?;
+        let started = Instant::now();
         let frames = spec.frames(&cf.name, &table)?;
+        let pivot_elapsed = started.elapsed();
         if frames.is_empty() {
             return Err(SessionError::Statement(format!(
                 "CREATE FAMILY {}: the pivot produced no families",
@@ -350,7 +356,13 @@ impl Session {
             registered.push(family.name.clone());
             self.engine.add_family(family);
         }
-        let summary = format!("CREATE FAMILY {}: {} families registered", cf.name, rows.len());
+        let summary = format!(
+            "CREATE FAMILY {}: {} families registered (query {:.1?}, pivot {:.1?})",
+            cf.name,
+            rows.len(),
+            query_elapsed,
+            pivot_elapsed
+        );
         self.groups.insert(cf.name.clone(), registered);
         Ok(StatementOutcome {
             summary,

@@ -54,6 +54,11 @@ fn script_ranking_matches_programmatic_engine_path() {
     );
     let outcomes = session.execute_script(&script).expect("script");
     assert_eq!(outcomes.len(), 2);
+    // The CREATE FAMILY summary splits its time into stage one and pivot.
+    let summary = &outcomes[0].summary;
+    assert!(summary.starts_with("CREATE FAMILY metrics: "), "{summary}");
+    assert!(summary.contains(" families registered (query "), "{summary}");
+    assert!(summary.contains(", pivot ") && summary.ends_with(')'), "{summary}");
     let ranking = &outcomes[1].table;
 
     // Top-K equality, entry by entry: same families, same order, and
