@@ -1,7 +1,8 @@
 //! Scan-level aggregate pushdown benchmark: the Appendix-C family query
 //! (GROUP BY timestamp × tag dimension over one metric's series fleet)
-//! through three engines — the PR 2 exchange pipeline (pushdown off), the
-//! `ScanAggregate` operator (pushdown on), and the naive reference
+//! through three engines — the row pipeline (pushdown off: the scan
+//! gather, then the serial aggregate), the `ScanAggregate` operator
+//! (pushdown on), and the naive reference
 //! interpreter. The `scan_agg_report` binary prints the full sweep; this
 //! bench pins the headline comparison.
 
@@ -49,7 +50,7 @@ fn bench_family_query_pushdown(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("scan_agg/family");
     group.sample_size(10);
-    group.bench_function("exchange_pipeline", |bch| {
+    group.bench_function("row_pipeline", |bch| {
         bch.iter(|| catalog.execute_query_with(&query, off).expect("off"));
     });
     group.bench_function("scan_aggregate", |bch| {

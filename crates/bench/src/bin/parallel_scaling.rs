@@ -145,7 +145,7 @@ fn main() {
     // fast path (aligned scrape grid) applies and the gather falls through
     // to the bottom-up two-way merge cascade. The partition sweep also sets
     // the cascade's worker count; every setting must stay row-identical to
-    // the stable-sort gather (`merge_gather: false`).
+    // the single-worker cascade and to the reference interpreter.
     let mut db = Tsdb::new();
     for s in 0..fleet {
         let key = SeriesKey::new("disk").with_tag("host", format!("host-{s}"));
@@ -164,29 +164,31 @@ fn main() {
          ({} rows)",
         fleet * points
     );
-    let sort_opts = ExecOptions { partitions: 1, merge_gather: false, ..ExecOptions::default() };
-    let sorted_out = catalog.execute_query_with(&scan_query, sort_opts).expect("sort");
-    let sort_t = best_of(3, || {
-        catalog.execute_query_with(&scan_query, sort_opts).expect("sort");
+    let serial_opts = ExecOptions::with_partitions(1);
+    let serial_out = catalog.execute_query_with(&scan_query, serial_opts).expect("serial");
+    let naive_out = execute_naive(&catalog, &scan_query).expect("naive scan");
+    assert_eq!(serial_out.rows(), naive_out.rows(), "merge cascade diverged from the reference");
+    let serial_t = best_of(3, || {
+        catalog.execute_query_with(&scan_query, serial_opts).expect("serial");
     });
-    println!("{:<26} {:>12.3?}   (stable-sort baseline)", "sort gather", sort_t);
-    for parts in [1usize, 2, 4, 8, 0] {
-        let opts = ExecOptions { partitions: parts, merge_gather: true, ..ExecOptions::default() };
+    println!("{:<26} {:>12.3?}   (single-worker baseline)", "merge workers=1", serial_t);
+    for parts in [2usize, 4, 8, 0] {
+        let opts = ExecOptions::with_partitions(parts);
         let out = catalog.execute_query_with(&scan_query, opts).expect("merge");
         assert_eq!(
             out.rows(),
-            sorted_out.rows(),
-            "merge cascade (partitions={parts}) diverged from stable sort"
+            serial_out.rows(),
+            "merge cascade (partitions={parts}) diverged from the single-worker cascade"
         );
         let t = best_of(3, || {
             catalog.execute_query_with(&scan_query, opts).expect("merge");
         });
         let label = if parts == 0 { "auto".to_string() } else { parts.to_string() };
         println!(
-            "{:<26} {:>12.3?}   {:.2}x vs sort gather",
+            "{:<26} {:>12.3?}   {:.2}x vs one worker",
             format!("merge workers={label}"),
             t,
-            sort_t.as_secs_f64() / t.as_secs_f64()
+            serial_t.as_secs_f64() / t.as_secs_f64()
         );
     }
 }

@@ -2,23 +2,25 @@
 //!
 //! [`execute`] runs the three-stage pipeline: lower the AST to a logical
 //! plan ([`crate::plan::build`]), rewrite it ([`crate::optimize::optimize`])
-//! and interpret the optimized tree over typed [`Column`] vectors. The
-//! operators are vectorized where [`crate::veval`] supports the expression
-//! and fall back to the row-compat shim (`Table::rows`) for window
-//! functions, CASE and scalar function calls — mirroring the retained
-//! row-at-a-time oracle in [`crate::reference`].
+//! and interpret the optimized tree over typed [`Column`] vectors. Each
+//! operator has one executor. The operators are vectorized where
+//! [`crate::veval`] supports the expression and fall back to the row-compat
+//! shim (`Table::rows`) for window functions, CASE and scalar function
+//! calls — mirroring the retained row-at-a-time oracle in
+//! [`crate::reference`].
 //!
-//! **Partition parallelism.** Pipelines the optimizer marked with
-//! [`LogicalPlan::Exchange`] run morsel-parallel on a scoped worker pool
-//! (the hypothesis-scoring idiom from `explainit-core`): the source table
-//! is cut into contiguous row morsels, each worker applies the nested
-//! `Filter`s and either projects or builds *partial aggregate states*
-//! ([`AggAcc`]) for its morsel, and a final exchange step merges partials
-//! in morsel order. Merging is exactly fold-equivalent (error-free float
+//! **Partition parallelism.** Two operators run morsel-parallel on a scoped
+//! worker pool (the hypothesis-scoring idiom from `explainit-core`): the
+//! TSDB scan gather, whose per-row column materialization and merge
+//! cascade split into contiguous morsels that concatenate in order, and
+//! [`LogicalPlan::ScanAggregate`], whose workers pre-aggregate
+//! point-balanced spans into mergeable [`AggAcc`] states that merge in
+//! morsel order. Merging is exactly fold-equivalent (error-free float
 //! sums, integer counts, per-class MIN/MAX candidates, PERCENTILE value
-//! gathering), so a parallel run is bit-identical to the serial one — the
-//! differential suite asserts serial == parallel == reference. Partition
-//! count comes from [`ExecOptions`]; `0` means one per available core.
+//! gathering), so a parallel run is bit-identical to a serial one — the
+//! differential suite asserts serial == parallel == reference. Every other
+//! operator runs serially. Partition count comes from [`ExecOptions`];
+//! `0` means one per available core.
 //!
 //! `EXPLAIN <query>` short-circuits after optimization and returns the
 //! rendered plan as a one-column table.
@@ -54,8 +56,8 @@ use crate::{QueryError, Result};
 /// Execution options for the columnar pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Partition count for [`LogicalPlan::Exchange`] pipelines, the
-    /// parallel scan gather and the scan-aggregate operator.
+    /// Partition count for the parallel TSDB scan gather and the
+    /// scan-aggregate operator; every other operator runs serially.
     ///
     /// * `0` — auto: one partition per available core, capped so each
     ///   morsel keeps at least [`MIN_PARTITION_ROWS`] rows;
@@ -70,12 +72,6 @@ pub struct ExecOptions {
     /// harness turns it off to compare the pushdown against the ordinary
     /// pipeline on identical queries.
     pub scan_aggregate: bool,
-    /// Order the TSDB scan gather with a k-way merge over the per-series
-    /// sorted point vectors instead of a global stable sort over all rows.
-    /// On by default; `false` retains the stable-sort reference path the
-    /// differential harness (and the `scan_gather` bench) compares
-    /// against — both produce bit-identical row orders.
-    pub merge_gather: bool,
     /// Run the optimizer invariant verifier ([`crate::verify`]) after each
     /// rewrite rule. Off by default in release builds (debug builds always
     /// verify); the release-mode CI differential job forces it on via the
@@ -85,7 +81,7 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions { partitions: 0, scan_aggregate: true, merge_gather: true, verify: false }
+        ExecOptions { partitions: 0, scan_aggregate: true, verify: false }
     }
 }
 
@@ -257,8 +253,6 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
             run_join(l, r, *kind, on, stats.is_some_and(|s| s.build_left))
         }
 
-        LogicalPlan::Exchange { input } => run_exchange(ctx, input, opts),
-
         LogicalPlan::Sort { input, keys, output_width } => {
             let t = run_plan(ctx, input, opts)?;
             // Materialize key values once: Column::get clones (allocating
@@ -376,9 +370,9 @@ fn run_tsdb_scan(
 
     let total: usize = hits.iter().map(|p| p.timestamps.len()).sum();
     // Side vectors over the concatenation, each built only when something
-    // reads it: the timestamp concat feeds the retained sort path and the
-    // timestamp output column; the hit map feeds the dictionary columns.
-    let ts_concat: Option<Vec<i64>> = (!opts.merge_gather || wanted.contains(&0)).then(|| {
+    // reads it: the timestamp concat feeds the timestamp output column; the
+    // hit map feeds the dictionary columns.
+    let ts_concat: Option<Vec<i64>> = wanted.contains(&0).then(|| {
         let mut v = Vec::with_capacity(total);
         for part in &hits {
             v.extend_from_slice(part.timestamps);
@@ -392,26 +386,17 @@ fn run_tsdb_scan(
         }
         v
     });
-    // Row order over the concatenation. Each series' slice is already
-    // timestamp-sorted, so a k-way merge keyed on `(timestamp, rank)`
-    // produces exactly what the retained global stable sort produces
-    // (within one series timestamps are strictly increasing, so the pair
-    // is a total order) in O(N log K) instead of O(N log N).
-    let order: Vec<u32> = if opts.merge_gather {
-        // Worker budget for big cascade levels: the explicit partition
-        // count, or every core in auto mode (`partitions: 1` forces the
-        // serial cascade — output is identical either way).
-        let workers = match opts.partitions {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            p => p,
-        };
-        merge_gather_order(&hits, total, workers)
-    } else {
-        let ts = ts_concat.as_ref().expect("concatenated for the sort path"); // invariant: concatenated above whenever the sort path runs
-        let mut order: Vec<u32> = (0..total as u32).collect();
-        order.sort_by_key(|&i| ts[i as usize]); // stable: ties stay key-ordered
-        order
+    // Row order over the concatenation: each series' slice is already
+    // timestamp-sorted, so a k-way merge keyed on `(timestamp, rank)` yields
+    // the observation view's order in O(N log K). Big cascade levels use
+    // the explicit partition count as their worker budget, or every core
+    // in auto mode (`partitions: 1` forces the serial cascade — output is
+    // identical either way).
+    let workers = match opts.partitions {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        p => p,
     };
+    let order = merge_gather_order(&hits, total, workers);
 
     // Decode per-hit dictionary codes and concatenate values once; the
     // gather below then reads pure native vectors.
@@ -462,8 +447,7 @@ fn run_tsdb_scan(
     };
 
     // Per-row column materialization runs morsel-parallel on the worker
-    // pool (the serial term of the exchange pipelines' Amdahl ceiling);
-    // chunks concatenate in order, so the output is identical to the
+    // pool; chunks concatenate in order, so the output is identical to the
     // single-threaded gather.
     let ranges = morsel_ranges(total, effective_partitions(opts, total));
     let out_cols: Vec<Column> = if ranges.len() <= 1 {
@@ -489,8 +473,8 @@ fn run_tsdb_scan(
 /// per-series sorted timestamp slices, returning indices into their
 /// concatenation in `(timestamp, series rank)` order — bit-identical to a
 /// global stable sort by timestamp over the rank-ordered concatenation
-/// (the retained `merge_gather: false` reference path), because within one
-/// series timestamps are strictly increasing, making the pair a total
+/// (the oracle `tests/differential.rs` checks it against), because within
+/// one series timestamps are strictly increasing, making the pair a total
 /// order over all rows.
 ///
 /// Two structure fast paths make the dominant monitoring shapes O(N) with
@@ -508,8 +492,8 @@ fn run_tsdb_scan(
 /// order and every merge takes the left run on timestamp ties, so each
 /// intermediate run is `(timestamp, rank)`-sorted without ever storing or
 /// comparing ranks. That keeps the k-way bound of N log K sequential
-/// comparisons with the timestamp key carried inline, where the retained
-/// sort pays a key-extraction indirection per comparison. Within one
+/// comparisons with the timestamp key carried inline, where a stable sort
+/// would pay a key-extraction indirection per comparison. Within one
 /// level every pair's output range is known up front (run lengths are
 /// input-determined), so big levels fan the pair merges out across
 /// `workers` scoped threads into disjoint slices of the double buffer —
@@ -857,7 +841,7 @@ fn run_aggregate(
 }
 
 // ---------------------------------------------------------------------------
-// Exchange: partition-parallel pipelines
+// Filters and morsels
 // ---------------------------------------------------------------------------
 
 /// Splits a Filter chain off a plan: returns the predicates (outermost
@@ -875,7 +859,7 @@ fn peel_filters(mut plan: &LogicalPlan) -> (Vec<&Expr>, &LogicalPlan) {
     }
 }
 
-/// Applies a peeled filter chain (innermost first) to morsel columns: one
+/// Applies a peeled filter chain (innermost first) to a table's columns: one
 /// selection vector flows through every predicate (each refined in place by
 /// the typed kernels) and the surviving rows gather **once** at the end —
 /// no intermediate column materialization per predicate.
@@ -990,245 +974,6 @@ fn run_partitioned<T: Send>(
     collected.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Executes an [`LogicalPlan::Exchange`]-marked pipeline morsel-parallel.
-fn run_exchange(ctx: &ExecCtx, input: &LogicalPlan, opts: &ExecOptions) -> Result<Table> {
-    match input {
-        LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-            let (filters, source) = peel_filters(input);
-            let src = run_plan(ctx, source, opts)?;
-            run_parallel_aggregate(&src, &filters, group_by, items, hidden, opts)
-        }
-        LogicalPlan::Project { input, items, hidden } => {
-            let (filters, source) = peel_filters(input);
-            let src = run_plan(ctx, source, opts)?;
-            run_parallel_project(&src, &filters, items, hidden, opts)
-        }
-        // The optimizer only marks Aggregate/Project pipelines; anything
-        // else runs serially.
-        other => run_plan(ctx, other, opts),
-    }
-}
-
-fn run_parallel_project(
-    src: &Table,
-    filters: &[&Expr],
-    items: &[(Expr, String)],
-    hidden: &[Expr],
-    opts: &ExecOptions,
-) -> Result<Table> {
-    let len = src.len();
-    let out_schema = project_names(items, hidden.len());
-    let width = items.len() + hidden.len();
-    if len == 0 {
-        return Ok(Table::from_columnar_parts(out_schema, vec![Column::empty(); width], 0));
-    }
-    let exprs: Vec<&Expr> = items.iter().map(|(e, _)| e).chain(hidden.iter()).collect();
-    let ranges = morsel_ranges(len, effective_partitions(opts, len));
-    let parts = run_partitioned(ranges.len(), |m| -> Result<(Vec<Column>, usize)> {
-        let (a, b) = ranges[m];
-        let cols: Vec<Column> = src.columns().iter().map(|c| c.slice(a, b)).collect();
-        let (cols, mlen) = apply_filters(filters, src.schema(), cols, b - a)?;
-        if mlen == 0 {
-            return Ok((Vec::new(), 0));
-        }
-        let mut out = Vec::with_capacity(exprs.len());
-        for e in &exprs {
-            out.push(veval::eval(e, src.schema(), &cols, mlen)?.into_column(mlen));
-        }
-        Ok((out, mlen))
-    })?;
-
-    // Order-preserving concatenation of morsel outputs.
-    let mut parts = parts.into_iter().filter(|(_, l)| *l > 0);
-    let (mut cols, mut total) = match parts.next() {
-        Some(first) => first,
-        None => return Ok(Table::from_columnar_parts(out_schema, vec![Column::empty(); width], 0)),
-    };
-    for (pcols, plen) in parts {
-        total += plen;
-        for (acc, pc) in cols.iter_mut().zip(pcols) {
-            acc.append_preserving(pc);
-        }
-    }
-    Ok(Table::from_columnar_parts(out_schema, cols, total))
-}
-
-/// How one output expression of a parallel aggregate is produced.
-enum AggSlot {
-    /// Index into the GROUP BY key list.
-    Key(usize),
-    /// Index into the aggregate-spec list.
-    Agg(usize),
-}
-
-/// One group's partial state within a morsel (or after merging).
-struct GroupPartial {
-    /// Group-key values at the group's first row (output for key slots).
-    keys: Vec<Value>,
-    /// One accumulator per aggregate spec.
-    accs: Vec<AggAcc>,
-}
-
-/// One morsel's partial aggregation result.
-struct AggPartial {
-    /// First-seen key order within the morsel.
-    order: Vec<String>,
-    /// Partial state per key.
-    groups: HashMap<String, GroupPartial>,
-}
-
-fn run_parallel_aggregate(
-    src: &Table,
-    filters: &[&Expr],
-    group_by: &[Expr],
-    items: &[(Expr, String)],
-    hidden: &[Expr],
-    opts: &ExecOptions,
-) -> Result<Table> {
-    let len = src.len();
-    let out_schema = project_names(items, hidden.len());
-    let width = items.len() + hidden.len();
-    if len == 0 {
-        return Ok(Table::from_columnar_parts(out_schema, vec![Column::empty(); width], 0));
-    }
-
-    // Decompose outputs into key references and aggregate specs (the
-    // optimizer only marks pipelines where this decomposition is total).
-    let mut slots: Vec<AggSlot> = Vec::with_capacity(width);
-    let mut specs: Vec<(&str, &[Expr])> = Vec::new();
-    for e in items.iter().map(|(e, _)| e).chain(hidden.iter()) {
-        if let Some(k) = group_by.iter().position(|g| g == e) {
-            slots.push(AggSlot::Key(k));
-        } else if let Expr::Function { name, args } = e {
-            debug_assert!(is_aggregate(name));
-            slots.push(AggSlot::Agg(specs.len()));
-            specs.push((name.as_str(), args.as_slice()));
-        } else {
-            return Err(QueryError::Plan(
-                "exchange aggregate with non-mergeable output (optimizer bug)".into(),
-            ));
-        }
-    }
-
-    // Phase 1: per-morsel partial aggregation.
-    let ranges = morsel_ranges(len, effective_partitions(opts, len));
-    let partials = run_partitioned(ranges.len(), |m| -> Result<AggPartial> {
-        let (a, b) = ranges[m];
-        let cols: Vec<Column> = src.columns().iter().map(|c| c.slice(a, b)).collect();
-        let (cols, mlen) = apply_filters(filters, src.schema(), cols, b - a)?;
-        let mut partial = AggPartial { order: Vec::new(), groups: HashMap::new() };
-        if mlen == 0 {
-            return Ok(partial);
-        }
-        let key_cols: Vec<Column> = group_by
-            .iter()
-            .map(|g| veval::eval(g, src.schema(), &cols, mlen).map(|v| v.into_column(mlen)))
-            .collect::<Result<_>>()?;
-        let keys = if group_by.is_empty() {
-            vec![String::new(); mlen]
-        } else {
-            veval::group_key_strings(&key_cols, mlen)
-        };
-        let arg_cols: Vec<Vec<Column>> = specs
-            .iter()
-            .map(|(_, args)| {
-                args.iter()
-                    .map(|a| veval::eval(a, src.schema(), &cols, mlen).map(|v| v.into_column(mlen)))
-                    .collect::<Result<_>>()
-            })
-            .collect::<Result<_>>()?;
-        // Single Float/Int-column specs push the raw element per row —
-        // push-equivalent to boxing it, minus the `Value` round trip.
-        enum ParPush<'a> {
-            F64(&'a [f64]),
-            I64(&'a [i64]),
-            General,
-        }
-        let push_plans: Vec<ParPush> = arg_cols
-            .iter()
-            .map(|cols| match cols.as_slice() {
-                [Column::Float(vs)] => ParPush::F64(vs),
-                [Column::Int(vs)] => ParPush::I64(vs),
-                _ => ParPush::General,
-            })
-            .collect();
-        let mut scratch: Vec<Value> = Vec::new();
-        for (row, key) in keys.into_iter().enumerate() {
-            let group = match partial.groups.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    partial.order.push(e.key().clone());
-                    let accs = specs
-                        .iter()
-                        .map(|(name, _)| {
-                            AggAcc::new(name).ok_or_else(|| {
-                                QueryError::BadFunction(format!("unknown aggregate {name}"))
-                            })
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    e.insert(GroupPartial {
-                        keys: key_cols.iter().map(|c| c.get(row)).collect(),
-                        accs,
-                    })
-                }
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            };
-            for ((acc, cols), plan) in
-                group.accs.iter_mut().zip(arg_cols.iter()).zip(push_plans.iter())
-            {
-                match plan {
-                    ParPush::F64(vs) => acc.push_f64(vs[row]),
-                    ParPush::I64(vs) => acc.push_i64(vs[row]),
-                    ParPush::General => {
-                        scratch.clear();
-                        scratch.extend(cols.iter().map(|c| c.get(row)));
-                        acc.push(&scratch)?;
-                    }
-                }
-            }
-        }
-        Ok(partial)
-    })?;
-
-    // Phase 2: exchange — merge partials in morsel order, which preserves
-    // the serial first-seen group order and makes every accumulator fold
-    // identical to the single-pass fold.
-    let mut order: Vec<String> = Vec::new();
-    let mut merged: HashMap<String, GroupPartial> = HashMap::new();
-    for mut partial in partials {
-        for key in partial.order {
-            let gp = partial.groups.remove(&key).expect("partial group exists"); // invariant: keys iterate the same map they were stored in
-            match merged.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(e.key().clone());
-                    e.insert(gp);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (acc, part) in e.get_mut().accs.iter_mut().zip(gp.accs) {
-                        acc.merge(part)?;
-                    }
-                }
-            }
-        }
-    }
-
-    // Finish accumulators and assemble output columns.
-    let mut out_vals: Vec<Vec<Value>> =
-        (0..width).map(|_| Vec::with_capacity(order.len())).collect();
-    for key in &order {
-        let gp = merged.remove(key).expect("merged group exists"); // invariant: keys iterate the same map they were stored in
-        let finished: Vec<Value> =
-            gp.accs.into_iter().map(AggAcc::finish).collect::<Result<_>>()?;
-        for (slot, out) in slots.iter().zip(out_vals.iter_mut()) {
-            match slot {
-                AggSlot::Key(k) => out.push(gp.keys[*k].clone()),
-                AggSlot::Agg(i) => out.push(finished[*i].clone()),
-            }
-        }
-    }
-    let out_cols: Vec<Column> = out_vals.into_iter().map(Column::from_values).collect();
-    Ok(Table::from_columnar_parts(out_schema, out_cols, order.len()))
-}
-
 // ---------------------------------------------------------------------------
 // Scan-level aggregation
 // ---------------------------------------------------------------------------
@@ -1293,6 +1038,14 @@ enum KeyKind {
     Ts,
     /// Index into the per-series class-key value list.
     Class(usize),
+}
+
+/// How one output expression of a scan aggregate is produced.
+enum AggSlot {
+    /// Index into the GROUP BY key list.
+    Key(usize),
+    /// Index into the aggregate-spec list.
+    Agg(usize),
 }
 
 /// One group's partial state within a scan-aggregate morsel.
@@ -2320,27 +2073,6 @@ mod tests {
         let mut c = Catalog::new();
         c.register_tsdb("tsdb", &db);
         c
-    }
-
-    #[test]
-    fn merge_gather_matches_stable_sort_reference() {
-        let c = tsdb_catalog();
-        for sql in [
-            "SELECT * FROM tsdb",
-            "SELECT timestamp, value FROM tsdb WHERE metric_name = 'cpu'",
-            "SELECT timestamp, tag['host'] AS h, value FROM tsdb WHERE timestamp >= 5",
-            "SELECT timestamp FROM tsdb WHERE metric_name = 'nope'",
-        ] {
-            let q = parse_query(sql).unwrap();
-            let merged =
-                execute_with(&c, &q, ExecOptions { merge_gather: true, ..ExecOptions::default() })
-                    .unwrap();
-            let sorted =
-                execute_with(&c, &q, ExecOptions { merge_gather: false, ..ExecOptions::default() })
-                    .unwrap();
-            assert_eq!(merged.schema(), sorted.schema(), "{sql}");
-            assert_eq!(merged.rows(), sorted.rows(), "{sql}");
-        }
     }
 
     #[test]

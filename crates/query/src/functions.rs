@@ -95,7 +95,18 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
             let digits = args[1]
                 .as_i64()
                 .ok_or_else(|| QueryError::Type("ROUND digits must be integer".into()))?;
-            let scale = 10f64.powi(digits as i32);
+            // Clamp before narrowing: `as i32` would wrap huge digit counts
+            // into small or negative ones. Past ±400 the scale is already
+            // inf or 0 for every f64.
+            let scale = 10f64.powi(digits.clamp(-400, 400) as i32);
+            if scale == 0.0 {
+                // Rounding to a place above every finite magnitude.
+                return Ok(Value::Float(0.0f64.copysign(v)));
+            }
+            if !scale.is_finite() || !(v * scale).is_finite() {
+                // More digits than the value carries: nothing to round.
+                return Ok(Value::Float(v));
+            }
             Ok(Value::Float((v * scale).round() / scale))
         }
         "POW" | "POWER" => {
@@ -1189,6 +1200,28 @@ mod tests {
             eval_scalar("POW", &[Value::Int(2), Value::Int(10)]).unwrap(),
             Value::Float(1024.0)
         );
+    }
+
+    #[test]
+    fn round_with_out_of_range_digits() {
+        let round = |x: f64, d: i64| match eval_scalar("ROUND", &[Value::Float(x), Value::Int(d)]) {
+            Ok(Value::Float(f)) => f,
+            other => panic!("ROUND({x}, {d}) = {other:?}"),
+        };
+        // Digit counts that do not fit an i32 must not wrap around.
+        assert_eq!(round(1234.5678, i64::MAX), 1234.5678);
+        assert_eq!(round(1234.5678, 4_294_967_298), 1234.5678);
+        assert_eq!(round(1234.5678, 2_147_483_648), 1234.5678);
+        // A scale that overflows leaves the value as it is.
+        assert_eq!(round(1e300, 10), 1e300);
+        // A scale that underflows rounds to a signed zero.
+        let z = round(1234.5678, -400);
+        assert!(z == 0.0 && z.is_sign_positive(), "{z}");
+        let z = round(-1234.5678, i64::MIN);
+        assert!(z == 0.0 && z.is_sign_negative(), "{z}");
+        // In-range digits keep rounding.
+        assert_eq!(round(1234.5678, -2), 1200.0);
+        assert_eq!(round(1234.5678, 300), 1234.5678);
     }
 
     #[test]

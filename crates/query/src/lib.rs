@@ -20,8 +20,10 @@
 //!    near-miss names. In debug builds (and whenever
 //!    `EXPLAINIT_VERIFY_PLANS` is set, or `OptimizeOptions::verify` is
 //!    on) a plan verifier ([`verify`]) additionally re-checks structural
-//!    invariants after every optimizer rule.
-//! 2. **Optimize** ([`optimize`]) — rule-based rewrites: constant folding,
+//!    invariants after every optimizer rule, naming the rule in its error.
+//! 2. **Optimize** ([`optimize`]) — rule-based rewrites, in order
+//!    `fold_constants`, `convert_tsdb_scans`, `pushdown`, `prune`,
+//!    `annotate_join_stats` and `scan_aggregate`: constant folding,
 //!    predicate pushdown (through projections and aliases, into the
 //!    matching side of joins, and through aggregate group keys), and —
 //!    crucially — pushdown *into storage*: on a table bound with
@@ -39,22 +41,24 @@
 //!    scans emit *dictionary-encoded* `metric_name`/`tag` columns
 //!    ([`Column::Dict`]: one shared `Arc` dictionary per binding plus a
 //!    `u32` code per row), and predicates over them evaluate once per
-//!    distinct entry. Pipelines the optimizer marked with
-//!    `LogicalPlan::Exchange` run **partition-parallel**: the source is
-//!    cut into row morsels, workers apply filters and build mergeable
-//!    partial aggregate states, and a final exchange merges partials in
-//!    morsel order — bit-identical to serial execution by construction
-//!    (error-free float summation), with the partition count controlled
-//!    via [`ExecOptions`] / [`Catalog::execute_query_with`]. The hottest
-//!    shape of all — an aggregate whose group keys are `timestamp` and/or
-//!    the dictionary-encoded scan columns, sitting directly on a TSDB
-//!    scan — collapses further into a single `LogicalPlan::ScanAggregate`
-//!    node: the executor pre-aggregates each series' sorted point vectors
-//!    straight off the store (no row materialization, grouping on
-//!    `(dict class, timestamp)` integer composite keys) and merges
-//!    per-series partials deterministically. `ExecOptions::scan_aggregate`
-//!    turns the rewrite off; the four-way differential suite runs every
-//!    generated query both ways against the reference interpreter.
+//!    distinct entry. Every operator has one executor. Two of them run
+//!    **partition-parallel**, with the partition count controlled via
+//!    [`ExecOptions`] / [`Catalog::execute_query_with`]: the TSDB scan
+//!    gather (a k-way merge over the per-series sorted point vectors, then
+//!    per-morsel column materialization concatenated in order), and the
+//!    stage-one hot shape — an aggregate whose group keys are `timestamp`
+//!    and/or the dictionary-encoded scan columns, sitting directly on a
+//!    TSDB scan — which the optimizer's `scan_aggregate` rule collapses
+//!    into a single `LogicalPlan::ScanAggregate` node: the executor
+//!    pre-aggregates each series' sorted point vectors straight off the
+//!    store (no row materialization, grouping on `(dict class, timestamp)`
+//!    integer composite keys) and merges per-morsel partials in morsel
+//!    order — bit-identical to serial execution by construction
+//!    (error-free float summation). Every other `Aggregate` runs the serial
+//!    vectorized executor, grouping on dictionary codes where it can.
+//!    `ExecOptions::scan_aggregate` turns the rewrite off; the four-way
+//!    differential suite runs every generated query both ways against the
+//!    reference interpreter.
 //!
 //! ## Reading `EXPLAIN` output
 //!
@@ -96,14 +100,14 @@
 //! referenced column is dense and numeric — the precondition for the
 //! typed selection-vector loops.
 //!
-//! If you expected the pushdown and see an
-//! `Exchange`/`Aggregate` over a `TsdbScan` instead, the pipeline was not
-//! eligible: a group key that is not `timestamp` or a dictionary column
-//! (`metric_name`, `tag`, `tag['k']`), an output that is not a plain
-//! aggregate call, a join/UNION context, `MIN`/`MAX` over the raw `tag`
-//! map, or — without a `timestamp` group key — `MIN`/`MAX` over a float
-//! stream (NaN is incomparable, so that fold is accumulation-order
-//! dependent) all fall back to the ordinary engines.
+//! If you expected the pushdown and see an `Aggregate` over a `TsdbScan`
+//! instead, the `scan_aggregate` rule found the pipeline ineligible and it
+//! runs on the serial `Aggregate` executor. These all fall back: a group
+//! key that is not `timestamp` or a dictionary column (`metric_name`,
+//! `tag`, `tag['k']`), an output that is not a plain aggregate call, a
+//! join/UNION context, `MIN`/`MAX` over the raw `tag` map, or — without a
+//! `timestamp` group key — `MIN`/`MAX` over a float stream (NaN is
+//! incomparable, so that fold is accumulation-order dependent).
 //!
 //! The pre-pipeline tree-walking interpreter is retained verbatim in
 //! [`reference`] as a differential-testing oracle (see

@@ -1,43 +1,29 @@
 //! Rule-based plan optimizer.
 //!
-//! Four rewrites run in order:
+//! Six rewrites run in this order. Each is named by the label the
+//! invariant verifier ([`crate::verify`]) reports it under:
 //!
-//! 1. **Constant folding** — literal-only subexpressions are evaluated at
+//! 1. **`fold_constants`** — literal-only subexpressions are evaluated at
 //!    plan time (`1 + 2` → `3`), plus boolean shortcuts (`TRUE AND x` → `x`,
 //!    `FALSE AND x` → `FALSE`).
-//! 2. **TSDB scan conversion** — a [`LogicalPlan::Scan`] of a table bound
+//! 2. **`convert_tsdb_scans`** — a [`LogicalPlan::Scan`] of a table bound
 //!    via [`Catalog::register_tsdb`] becomes a [`LogicalPlan::TsdbScan`].
-//! 3. **Predicate pushdown** — WHERE conjuncts sink through Alias and
-//!    Project nodes (with alias substitution), into the matching side of a
-//!    Join, through Aggregate group keys, and finally *into* the TSDB scan:
+//! 3. **`pushdown`** — WHERE conjuncts sink through Alias and Project nodes
+//!    (with alias substitution), into the matching side of a Join, through
+//!    Aggregate group keys, and finally *into* the TSDB scan:
 //!    `metric_name = '…'` becomes an inverted-index name lookup,
 //!    `tag['k'] = 'v'` / `tag['k'] IS [NOT] NULL` become tag-index
 //!    predicates, and `timestamp` comparisons become the scan's time range —
-//!    so the store is never materialized wholesale.
-//! 4. **Projection pruning** — TSDB scans only materialize the observation
-//!    columns the rest of the plan references (skipping per-row tag-map
-//!    clones when `tag` is never read).
-//! 5. **Parallelization** — an `Aggregate` whose outputs are group keys and
-//!    plain (mergeable) aggregate calls, or a TSDB-scan-rooted `Project`,
-//!    with any directly nested vectorizable `Filter`s, is wrapped in a
-//!    [`LogicalPlan::Exchange`] marker: the executor runs the pipeline
-//!    per-partition (two-phase aggregation with accumulator merges) when
-//!    partitions are available. The wrapped plan stays a valid serial
-//!    plan, so the marker never changes results.
-//! 6. **Scan-level aggregate pushdown** — an `Aggregate` (with or without
-//!    its `Exchange` marker, above vectorizable pushed-down `Filter`s)
-//!    sitting directly on a `TsdbScan` collapses into a single
-//!    [`LogicalPlan::ScanAggregate`] node when every group key is the
-//!    `timestamp` column or an expression over the dictionary-encoded
-//!    scan columns (`metric_name`, `tag`) and every output is a group key
-//!    or a plain mergeable aggregate over observation columns. The
-//!    executor then pre-aggregates per series straight off the store's
-//!    sorted point vectors — no row materialization at all. Joins, UNION
-//!    branches, non-dict group keys and non-mergeable outputs fall back
-//!    to the ordinary pipeline. Disable with
-//!    [`OptimizeOptions::scan_aggregate`] (the differential harness runs
-//!    both ways).
-//! 7. **Join-side statistics** — every `Join` is annotated with per-side
+//!    so the store is never materialized wholesale. The residual conjuncts
+//!    it leaves above a `TsdbScan` are cost-ordered so per-series-constant
+//!    predicates (references to the dictionary-encoded `metric_name`/`tag`
+//!    columns only) apply innermost: the scan-aggregate operator evaluates
+//!    those once per series — often discarding the whole series for the
+//!    cost of one comparison — before any per-point work runs.
+//! 4. **`prune`** — TSDB scans only materialize the observation columns the
+//!    rest of the plan references (skipping per-row tag-map clones when
+//!    `tag` is never read).
+//! 5. **`annotate_join_stats`** — every `Join` is annotated with per-side
 //!    row estimates from [`crate::plan::estimate_rows`] (tag-index set
 //!    sizes and point-count arithmetic for TSDB scans, exact lengths for
 //!    registered tables) and the hash-join build side they imply: the
@@ -45,12 +31,19 @@
 //!    while emitting rows in exactly the order the legacy build-on-right
 //!    algorithm produced, so statistics can only change memory and speed,
 //!    never results. `EXPLAIN` shows the estimates and the chosen side on
-//!    the `Join` line. Rule 3 additionally orders the residual conjuncts
-//!    it leaves above a `TsdbScan` so per-series-constant predicates
-//!    (references to the dictionary-encoded `metric_name`/`tag` columns
-//!    only) apply innermost: the scan-aggregate operator evaluates those
-//!    once per series — often discarding the whole series for the cost of
-//!    one comparison — before any per-point work runs.
+//!    the `Join` line.
+//! 6. **`scan_aggregate`** — an `Aggregate` (above vectorizable pushed-down
+//!    `Filter`s) sitting directly on a `TsdbScan` collapses into a single
+//!    [`LogicalPlan::ScanAggregate`] node when every group key is the
+//!    `timestamp` column or an expression over the dictionary-encoded
+//!    scan columns (`metric_name`, `tag`) and every output is a group key
+//!    or a plain mergeable aggregate over observation columns. The
+//!    executor then pre-aggregates per series straight off the store's
+//!    sorted point vectors — no row materialization at all. Joins, UNION
+//!    branches, non-dict group keys and non-mergeable outputs fall back
+//!    to the serial `Aggregate`. Disable with
+//!    [`OptimizeOptions::scan_aggregate`] (the differential harness runs
+//!    both ways).
 
 use std::collections::HashSet;
 
@@ -71,7 +64,7 @@ use crate::Result;
 /// engines).
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizeOptions {
-    /// Apply rule 6 (collapse eligible aggregates into
+    /// Apply the `scan_aggregate` rule (collapse eligible aggregates into
     /// [`LogicalPlan::ScanAggregate`]). Default: on.
     pub scan_aggregate: bool,
     /// Run the [`crate::verify`] invariant checks after every rule.
@@ -117,15 +110,13 @@ pub fn optimize_with(
     check("prune", &plan)?;
     let plan = annotate_join_stats(plan, catalog);
     check("annotate_join_stats", &plan)?;
-    let plan = parallelize(plan);
-    check("parallelize", &plan)?;
     let plan = if opts.scan_aggregate { push_aggregates_into_scans(plan) } else { plan };
     check("scan_aggregate", &plan)?;
     Ok(plan)
 }
 
 // ---------------------------------------------------------------------------
-// Rule 1: constant folding
+// fold_constants: constant folding
 // ---------------------------------------------------------------------------
 
 /// Folds constants in every expression of the plan.
@@ -168,10 +159,7 @@ fn map_exprs(plan: LogicalPlan, f: &impl Fn(Expr) -> Expr) -> LogicalPlan {
         LogicalPlan::Union { inputs } => {
             LogicalPlan::Union { inputs: inputs.into_iter().map(|p| map_exprs(p, f)).collect() }
         }
-        LogicalPlan::Exchange { input } => {
-            LogicalPlan::Exchange { input: Box::new(map_exprs(*input, f)) }
-        }
-        // `ScanAggregate` is produced by rule 6, which runs last; the
+        // `ScanAggregate` is produced by `scan_aggregate`, which runs last; the
         // earlier passes never see it, so a leaf treatment is safe.
         leaf @ (LogicalPlan::Scan { .. }
         | LogicalPlan::TsdbScan { .. }
@@ -280,7 +268,7 @@ pub fn fold_expr(expr: Expr) -> Expr {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 2: TSDB scan conversion
+// convert_tsdb_scans: TSDB scan conversion
 // ---------------------------------------------------------------------------
 
 fn convert_tsdb_scans(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
@@ -328,16 +316,13 @@ fn map_plan(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> Logic
         LogicalPlan::Union { inputs } => {
             LogicalPlan::Union { inputs: inputs.into_iter().map(|p| map_plan(p, f)).collect() }
         }
-        LogicalPlan::Exchange { input } => {
-            LogicalPlan::Exchange { input: Box::new(map_plan(*input, f)) }
-        }
         leaf => leaf,
     };
     f(rebuilt)
 }
 
 // ---------------------------------------------------------------------------
-// Rule 3: predicate pushdown
+// pushdown: predicate pushdown
 // ---------------------------------------------------------------------------
 
 fn pushdown(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
@@ -662,7 +647,7 @@ fn sink_filter(pred: Expr, input: LogicalPlan, catalog: &Catalog) -> Result<Logi
                     residual.push(c);
                 }
             }
-            // Cost-ordered residual chain (rule 7's filter half), three
+            // Cost-ordered residual chain, three
             // classes innermost-out: (0) conjuncts over the per-series-
             // constant dictionary columns — the scan-aggregate operator
             // evaluates those once per series and can drop a whole series
@@ -886,7 +871,7 @@ fn absorb_tsdb_conjunct(
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: projection pruning (TSDB scans)
+// prune: projection pruning (TSDB scans)
 // ---------------------------------------------------------------------------
 
 /// Pushes the set of referenced column names down to TSDB scans, which then
@@ -961,9 +946,6 @@ fn prune(plan: LogicalPlan, needs: Option<HashSet<String>>) -> LogicalPlan {
         LogicalPlan::Limit { input, n } => {
             LogicalPlan::Limit { input: Box::new(prune(*input, needs)), n }
         }
-        LogicalPlan::Exchange { input } => {
-            LogicalPlan::Exchange { input: Box::new(prune(*input, needs)) }
-        }
         LogicalPlan::Union { inputs } => LogicalPlan::Union {
             // Positional name mapping across branches is fragile; keep all.
             inputs: inputs.into_iter().map(|p| prune(p, None)).collect(),
@@ -999,7 +981,7 @@ fn prune(plan: LogicalPlan, needs: Option<HashSet<String>>) -> LogicalPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 7: join-side statistics
+// annotate_join_stats: join-side statistics
 // ---------------------------------------------------------------------------
 
 /// Attaches per-side row estimates (and the hash build side they imply) to
@@ -1025,109 +1007,15 @@ fn annotate_join_stats(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: parallelization markers
-// ---------------------------------------------------------------------------
-
-/// Wraps partition-parallelizable pipelines in [`LogicalPlan::Exchange`].
-fn parallelize(plan: LogicalPlan) -> LogicalPlan {
-    map_plan(plan, &|node| {
-        let eligible = match &node {
-            LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-                aggregate_exchange_eligible(input, group_by, items, hidden)
-            }
-            LogicalPlan::Project { input, items, hidden } => {
-                project_exchange_eligible(input, items, hidden)
-            }
-            _ => false,
-        };
-        if eligible {
-            LogicalPlan::Exchange { input: Box::new(node) }
-        } else {
-            node
-        }
-    })
-}
-
-/// Walks a chain of `Filter` nodes, requiring every predicate to be
-/// vectorizable (the executor evaluates them per morsel); returns the
-/// first non-Filter node.
-fn peel_supported_filters(mut plan: &LogicalPlan) -> Option<&LogicalPlan> {
-    loop {
-        match plan {
-            LogicalPlan::Filter { input, predicate } => {
-                if !veval::supported(predicate) {
-                    return None;
-                }
-                plan = input;
-            }
-            other => return Some(other),
-        }
-    }
-}
-
-/// An aggregate pipeline parallelizes when the executor can run it
-/// two-phase: vectorizable group keys, every output either a group key or a
-/// plain aggregate call (whose partial states merge), and only
-/// vectorizable filters between the aggregate and its source.
-pub(crate) fn aggregate_exchange_eligible(
-    input: &LogicalPlan,
-    group_by: &[Expr],
-    items: &[(Expr, String)],
-    hidden: &[Expr],
-) -> bool {
-    if peel_supported_filters(input).is_none() {
-        return false;
-    }
-    if !group_by.iter().all(veval::supported) {
-        return false;
-    }
-    items.iter().map(|(e, _)| e).chain(hidden.iter()).all(|e| {
-        if group_by.iter().any(|g| g == e) {
-            return true;
-        }
-        match e {
-            Expr::Function { name, args } => {
-                is_aggregate(name) && args.iter().all(veval::supported)
-            }
-            _ => false,
-        }
-    })
-}
-
-/// A projection pipeline parallelizes when it is TSDB-scan-rooted (the
-/// partitioned source of §4's data-parallel loop) and fully vectorizable —
-/// window functions (which read the whole input) never qualify because
-/// [`veval::supported`] rejects function calls.
-pub(crate) fn project_exchange_eligible(
-    input: &LogicalPlan,
-    items: &[(Expr, String)],
-    hidden: &[Expr],
-) -> bool {
-    let Some(mut source) = peel_supported_filters(input) else {
-        return false;
-    };
-    while let LogicalPlan::Alias { input, .. } = source {
-        source = input;
-    }
-    if !matches!(source, LogicalPlan::TsdbScan { .. }) {
-        return false;
-    }
-    items.iter().map(|(e, _)| e).chain(hidden.iter()).all(veval::supported)
-}
-
-// ---------------------------------------------------------------------------
-// Rule 6: scan-level aggregate pushdown
+// scan_aggregate: scan-level aggregate pushdown
 // ---------------------------------------------------------------------------
 
 /// Walks the straight-line spine of the plan converting eligible
-/// `(Exchange)? → Aggregate → Filter* → TsdbScan` chains into
+/// `Aggregate → Filter* → TsdbScan` chains into
 /// [`LogicalPlan::ScanAggregate`]. The rewrite deliberately does *not*
 /// descend into `Join` sides or `Union` branches: those contexts fall back
 /// to the ordinary pipeline (asserted by the plan-shape tests).
 fn push_aggregates_into_scans(plan: LogicalPlan) -> LogicalPlan {
-    if scan_aggregate_candidate(&plan) {
-        return convert_scan_aggregate(plan);
-    }
     match plan {
         LogicalPlan::Filter { input, predicate } => {
             LogicalPlan::Filter { input: Box::new(push_aggregates_into_scans(*input)), predicate }
@@ -1137,12 +1025,18 @@ fn push_aggregates_into_scans(plan: LogicalPlan) -> LogicalPlan {
             items,
             hidden,
         },
-        LogicalPlan::Aggregate { input, group_by, items, hidden } => LogicalPlan::Aggregate {
-            input: Box::new(push_aggregates_into_scans(*input)),
-            group_by,
-            items,
-            hidden,
-        },
+        LogicalPlan::Aggregate { input, group_by, items, hidden } => {
+            if scan_aggregate_eligible(&input, &group_by, &items, &hidden) {
+                convert_scan_aggregate(*input, group_by, items, hidden)
+            } else {
+                LogicalPlan::Aggregate {
+                    input: Box::new(push_aggregates_into_scans(*input)),
+                    group_by,
+                    items,
+                    hidden,
+                }
+            }
+        }
         LogicalPlan::Alias { input, alias } => {
             LogicalPlan::Alias { input: Box::new(push_aggregates_into_scans(*input)), alias }
         }
@@ -1154,41 +1048,20 @@ fn push_aggregates_into_scans(plan: LogicalPlan) -> LogicalPlan {
         LogicalPlan::Limit { input, n } => {
             LogicalPlan::Limit { input: Box::new(push_aggregates_into_scans(*input)), n }
         }
-        LogicalPlan::Exchange { input } => {
-            LogicalPlan::Exchange { input: Box::new(push_aggregates_into_scans(*input)) }
-        }
         other => other,
     }
 }
 
-/// True when the node is an eligible aggregate-over-scan pipeline.
-fn scan_aggregate_candidate(node: &LogicalPlan) -> bool {
-    match node {
-        LogicalPlan::Exchange { input } => match input.as_ref() {
-            LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-                scan_aggregate_eligible(input, group_by, items, hidden)
-            }
-            _ => false,
-        },
-        LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-            scan_aggregate_eligible(input, group_by, items, hidden)
-        }
-        _ => false,
-    }
-}
-
-/// Collapses a node [`scan_aggregate_candidate`] accepted.
-fn convert_scan_aggregate(node: LogicalPlan) -> LogicalPlan {
-    let agg = match node {
-        LogicalPlan::Exchange { input } => *input,
-        other => other,
-    };
-    let LogicalPlan::Aggregate { input, group_by, items, hidden } = agg else {
-        unreachable!("eligibility matched an aggregate");
-    };
+/// Collapses an aggregate whose input [`scan_aggregate_eligible`] accepted.
+fn convert_scan_aggregate(
+    input: LogicalPlan,
+    group_by: Vec<Expr>,
+    items: Vec<(Expr, String)>,
+    hidden: Vec<Expr>,
+) -> LogicalPlan {
     // Peel the (vectorizable) filter chain, outermost first.
     let mut filters = Vec::new();
-    let mut cur = *input;
+    let mut cur = input;
     loop {
         match cur {
             LogicalPlan::Filter { input, predicate } => {
@@ -1272,7 +1145,7 @@ fn bare_tag_free(expr: &Expr, schema: &Schema) -> bool {
     }
 }
 
-/// The eligibility analysis for rule 6: the pipeline must reach a
+/// The eligibility analysis for `scan_aggregate`: the pipeline must reach a
 /// `TsdbScan` through vectorizable filters over observation columns, every
 /// group key must be the `timestamp` column (at most once) or an
 /// expression over the dictionary-encoded columns, and every output must
@@ -1375,27 +1248,6 @@ mod tests {
         optimize(build(c, &q).unwrap(), c).unwrap()
     }
 
-    /// Optimizes with rule 6 (scan-aggregate pushdown) disabled, so the
-    /// rule-1..5 shape assertions stay focused.
-    fn optimized_no_sa(c: &Catalog, sql: &str) -> LogicalPlan {
-        let q = parse_query(sql).unwrap();
-        optimize_with(
-            build(c, &q).unwrap(),
-            c,
-            &OptimizeOptions { scan_aggregate: false, ..OptimizeOptions::default() },
-        )
-        .unwrap()
-    }
-
-    /// Strips an `Exchange` parallelization marker (rule 5, tested on its
-    /// own) so the rule-1..4 shape assertions stay focused.
-    fn unwrap_exchange(p: LogicalPlan) -> LogicalPlan {
-        match p {
-            LogicalPlan::Exchange { input } => *input,
-            other => other,
-        }
-    }
-
     #[test]
     fn constant_folding_collapses_literals() {
         assert_eq!(
@@ -1432,9 +1284,7 @@ mod tests {
             "SELECT value FROM tsdb WHERE metric_name = 'cpu' AND tag['host'] = 'web-1' \
              AND timestamp BETWEEN 0 AND 100",
         );
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
+        let LogicalPlan::Project { input, .. } = p else { panic!("expected project") };
         let LogicalPlan::TsdbScan { name, tags, start, end, .. } = *input else {
             panic!("expected tsdb scan, got {input:?}")
         };
@@ -1447,9 +1297,7 @@ mod tests {
     fn tsdb_residual_keeps_unpushable_conjuncts() {
         let c = tsdb_catalog();
         let p = optimized(&c, "SELECT value FROM tsdb WHERE metric_name = 'cpu' AND value > 1.5");
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
+        let LogicalPlan::Project { input, .. } = p else { panic!("expected project") };
         let LogicalPlan::Filter { input, predicate } = *input else {
             panic!("expected residual filter, got {input:?}")
         };
@@ -1465,9 +1313,7 @@ mod tests {
     fn tag_null_checks_become_index_predicates() {
         let c = tsdb_catalog();
         let p = optimized(&c, "SELECT value FROM tsdb WHERE tag['host'] IS NOT NULL");
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
+        let LogicalPlan::Project { input, .. } = p else { panic!("expected project") };
         let LogicalPlan::TsdbScan { tags, .. } = *input else { panic!("expected scan") };
         assert_eq!(tags, vec![TagFilter::HasKey("host".into())]);
     }
@@ -1479,9 +1325,7 @@ mod tests {
             &c,
             "SELECT value FROM tsdb WHERE timestamp >= 10 AND timestamp < 50 AND 20 <= timestamp",
         );
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
+        let LogicalPlan::Project { input, .. } = p else { panic!("expected project") };
         let LogicalPlan::TsdbScan { start, end, .. } = *input else { panic!("expected scan") };
         assert_eq!((start, end), (Some(20), Some(49)));
     }
@@ -1490,9 +1334,7 @@ mod tests {
     fn pruning_drops_unreferenced_scan_columns() {
         let c = tsdb_catalog();
         let p = optimized(&c, "SELECT timestamp, value FROM tsdb WHERE metric_name = 'cpu'");
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
+        let LogicalPlan::Project { input, .. } = p else { panic!("expected project") };
         let LogicalPlan::TsdbScan { columns, .. } = *input else { panic!("expected scan") };
         // metric_name was absorbed into the scan filter, so only
         // timestamp + value survive; the tag maps are never cloned.
@@ -1569,9 +1411,7 @@ mod tests {
         // metric_name GLOB with a literal prefix becomes the scan's name
         // pattern (served by a name-index range scan in the store).
         let p = optimized(&c, "SELECT value FROM tsdb WHERE metric_name GLOB 'c*'");
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
+        let LogicalPlan::Project { input, .. } = p else { panic!("expected project") };
         let LogicalPlan::TsdbScan { name, .. } = *input else {
             panic!("expected scan, got {input:?}")
         };
@@ -1579,32 +1419,20 @@ mod tests {
 
         // tag['k'] LIKE translates %/_ to */? and lands in the tag filters.
         let p = optimized(&c, "SELECT value FROM tsdb WHERE tag['host'] LIKE 'web-%'");
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
+        let LogicalPlan::Project { input, .. } = p else { panic!("expected project") };
         let LogicalPlan::TsdbScan { tags, .. } = *input else { panic!("expected scan") };
         assert_eq!(tags, vec![TagFilter::Glob("host".into(), "web-*".into())]);
 
         // A LIKE pattern containing literal glob metacharacters must stay
         // a residual filter (translation would change its meaning).
         let p = optimized(&c, "SELECT value FROM tsdb WHERE tag['host'] LIKE 'w*b%'");
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
+        let LogicalPlan::Project { input, .. } = p else { panic!("expected project") };
         assert!(matches!(*input, LogicalPlan::Filter { .. }), "expected residual, got {input:?}");
     }
 
     #[test]
-    fn parallelize_marks_mergeable_aggregates() {
+    fn scan_aggregate_collapses_mergeable_aggregates() {
         let c = tsdb_catalog();
-        let p = optimized_no_sa(
-            &c,
-            "SELECT timestamp, AVG(value) AS m, COUNT(*) AS n FROM tsdb \
-             WHERE metric_name = 'cpu' GROUP BY timestamp",
-        );
-        let LogicalPlan::Exchange { input } = p else { panic!("expected exchange, got {p:?}") };
-        assert!(matches!(*input, LogicalPlan::Aggregate { .. }));
-        // With rule 6 on, the same pipeline collapses into the scan.
         let p = optimized(
             &c,
             "SELECT timestamp, AVG(value) AS m, COUNT(*) AS n FROM tsdb \
@@ -1649,18 +1477,6 @@ mod tests {
     }
 
     #[test]
-    fn parallelize_skips_non_mergeable_aggregate_outputs() {
-        let c = tsdb_catalog();
-        // AVG(x) * 2 is not a plain aggregate call: its partial states
-        // cannot merge, so the pipeline stays serial.
-        let p = optimized(&c, "SELECT AVG(x) * 2 AS m FROM plain GROUP BY x");
-        assert!(matches!(p, LogicalPlan::Aggregate { .. }), "got {p:?}");
-        // Window projections stay serial too (they read the whole input).
-        let p = optimized(&c, "SELECT LAG(value) AS prev FROM tsdb");
-        assert!(matches!(p, LogicalPlan::Project { .. }), "got {p:?}");
-    }
-
-    #[test]
     fn aggregate_only_passes_group_key_conjuncts() {
         let c = tsdb_catalog();
         let p = optimized(
@@ -1673,9 +1489,7 @@ mod tests {
         let mut cols = Vec::new();
         collect_columns(&predicate, &mut cols);
         assert_eq!(cols, vec!["m".to_string()]);
-        let LogicalPlan::Aggregate { input, .. } = unwrap_exchange(*input) else {
-            panic!("expected aggregate")
-        };
+        let LogicalPlan::Aggregate { input, .. } = *input else { panic!("expected aggregate") };
         assert!(matches!(*input, LogicalPlan::Filter { .. }), "group-key conjunct pushed below");
     }
 }

@@ -99,9 +99,10 @@ pub enum LogicalPlan {
         kind: JoinKind,
         /// The ON predicate.
         on: Expr,
-        /// Cardinality statistics attached by the optimizer (rule 7). The
-        /// executor builds the hash side on the estimated-smaller input;
-        /// `None` (un-optimized plans) keeps the legacy build-on-right.
+        /// Cardinality statistics attached by the optimizer's
+        /// `annotate_join_stats` rule. The executor builds the hash side on
+        /// the estimated-smaller input; `None` (un-optimized plans) keeps
+        /// the legacy build-on-right.
         stats: Option<JoinStats>,
     },
     /// Sorts by key columns of the (extended) child output.
@@ -127,28 +128,18 @@ pub enum LogicalPlan {
         /// Unioned plans, in order; the first defines the output names.
         inputs: Vec<LogicalPlan>,
     },
-    /// Partition-parallel execution marker, inserted by the optimizer
-    /// around a pipeline the executor may run morsel-parallel: an
-    /// `Aggregate` (two-phase: per-partition partial accumulators, then an
-    /// order-preserving merge exchange) or a `Project`, in both cases with
-    /// any directly nested `Filter`s evaluated per partition. The wrapped
-    /// plan is also a valid serial plan; partition count is an execution
-    /// option, so `Exchange` never changes results, only scheduling.
-    Exchange {
-        /// The pipeline to parallelize.
-        input: Box<LogicalPlan>,
-    },
-    /// Aggregation pushed *into* the scan: produced by the optimizer when
-    /// an `Aggregate` (optionally under `Exchange`, above pushed-down
+    /// Aggregation pushed *into* the scan: produced by the optimizer's
+    /// `scan_aggregate` rule when an `Aggregate` (above pushed-down
     /// vectorizable `Filter`s) sits directly on a [`LogicalPlan::TsdbScan`]
     /// and every group key is the `timestamp` column or an expression over
     /// the dictionary-encoded scan columns (`metric_name`, `tag`). The
     /// executor pre-aggregates each series' sorted point vectors straight
     /// off [`explainit_tsdb::Tsdb::scan_parts_ordered`] into mergeable
     /// accumulators, grouping on `(dict class, timestamp)` composite keys —
-    /// no row materialization and no per-row key-string rendering — and
-    /// merges per-series partials deterministically, so results stay
-    /// bit-exact with the serial and reference engines.
+    /// no row materialization and no per-row key-string rendering. It is
+    /// the one morsel-parallel aggregate: workers fold point-balanced spans
+    /// and merge their partials deterministically, so results stay
+    /// bit-exact with the serial `Aggregate` and the reference engine.
     ScanAggregate {
         /// Catalog name the TSDB is bound under.
         table: String,
@@ -217,9 +208,9 @@ pub fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> Option<u64> {
             Some(binding.db().estimate_points(&filter, lo, hi))
         }
         LogicalPlan::Unit => Some(1),
-        LogicalPlan::Alias { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Exchange { input } => estimate_rows(input, catalog),
+        LogicalPlan::Alias { input, .. } | LogicalPlan::Sort { input, .. } => {
+            estimate_rows(input, catalog)
+        }
         LogicalPlan::Project { input, .. } => estimate_rows(input, catalog),
         LogicalPlan::Filter { input, .. } => {
             // Default selectivity heuristic: a WHERE clause keeps ~1/3 of
@@ -308,9 +299,7 @@ impl LogicalPlan {
                 cols.extend(right.schema(catalog)?.columns().iter().cloned());
                 Ok(Schema::new(cols))
             }
-            LogicalPlan::Sort { input, .. } | LogicalPlan::Exchange { input } => {
-                input.schema(catalog)
-            }
+            LogicalPlan::Sort { input, .. } => input.schema(catalog),
             LogicalPlan::Union { inputs } => inputs
                 .first()
                 .ok_or_else(|| QueryError::Plan("empty UNION".into()))?
@@ -768,10 +757,6 @@ fn render_into(plan: &LogicalPlan, depth: usize, catalog: Option<&Catalog>, out:
             for i in inputs {
                 render_into(i, depth + 1, catalog, out);
             }
-        }
-        LogicalPlan::Exchange { input } => {
-            push_line(out, depth, "Exchange partitions=auto");
-            render_into(input, depth + 1, catalog, out);
         }
         LogicalPlan::ScanAggregate {
             table,

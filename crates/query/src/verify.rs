@@ -23,24 +23,21 @@
 //!    be resolved (unit tests optimize plans over detached catalogs).
 //! 2. **ScanAggregate re-eligibility** — every [`LogicalPlan::ScanAggregate`]
 //!    is expanded back into the `Aggregate → Filter* → TsdbScan` chain it
-//!    came from and re-run through the rule-6 eligibility analysis
-//!    ([`crate::optimize::scan_aggregate_eligible`]): mergeable aggregates
-//!    only, dictionary/timestamp group keys, the NaN `MIN`/`MAX` ordering
-//!    rule, vectorizable filters.
-//! 3. **Exchange mergeability** — an [`LogicalPlan::Exchange`] may only
-//!    wrap a two-phase-mergeable `Aggregate` or a TSDB-rooted vectorizable
-//!    `Project` (rule 5's eligibility, re-checked).
-//! 4. **Residual filter chains** — a `Filter` chain left directly above a
+//!    came from and re-run through the `scan_aggregate` eligibility
+//!    analysis ([`crate::optimize::scan_aggregate_eligible`]): mergeable
+//!    aggregates only, dictionary/timestamp group keys, the NaN
+//!    `MIN`/`MAX` ordering rule, vectorizable filters.
+//! 3. **Residual filter chains** — a `Filter` chain left directly above a
 //!    `TsdbScan` must reference only columns the (possibly pruned) scan
-//!    still produces, and must keep rule 3's cost classes sorted:
+//!    still produces, and must keep `pushdown`'s cost classes sorted:
 //!    per-series dictionary predicates innermost, kernel-refinable point
 //!    predicates next, general expressions outermost. (Only enforced once
 //!    `pushdown` has run — the planner's raw WHERE chain predates the
 //!    ordering.)
-//! 5. **Sort key bounds** — every sort key indexes a real column of the
+//! 4. **Sort key bounds** — every sort key indexes a real column of the
 //!    extended (visible + hidden) child output, and the visible width
 //!    never exceeds the extended width.
-//! 6. **Union shape** — a `Union` node keeps at least one branch.
+//! 5. **Union shape** — a `Union` node keeps at least one branch.
 //!
 //! Violations surface as [`QueryError::Plan`] with the message prefix
 //! `optimizer invariant violated after <rule>:`.
@@ -50,10 +47,7 @@ use explainit_sync::{LockClass, OnceLock};
 use crate::ast::Expr;
 use crate::catalog::Catalog;
 use crate::error::QueryError;
-use crate::optimize::{
-    aggregate_exchange_eligible, collect_columns, project_exchange_eligible,
-    scan_aggregate_eligible,
-};
+use crate::optimize::{collect_columns, scan_aggregate_eligible};
 use crate::plan::{LogicalPlan, TSDB_COLUMNS};
 use crate::table::Schema;
 use crate::veval;
@@ -95,7 +89,7 @@ pub(crate) fn check_after(
             );
         }
     }
-    // The planner's raw WHERE chain predates rule 3's cost ordering.
+    // The planner's raw WHERE chain predates `pushdown`'s cost ordering.
     let ordered = !matches!(rule, "fold_constants" | "convert_tsdb_scans");
     walk(plan, rule, ordered, false, catalog)
 }
@@ -123,7 +117,7 @@ fn walk(
             items,
             hidden,
         } => {
-            // Expand the node back into the chain rule 6 collapsed and
+            // Expand the node back into the chain `scan_aggregate` collapsed and
             // re-run the eligibility analysis it must have passed.
             let mut synth = LogicalPlan::TsdbScan {
                 table: table.clone(),
@@ -140,37 +134,12 @@ fn walk(
             if !scan_aggregate_eligible(&synth, group_by, items, hidden) {
                 return violation(
                     rule,
-                    format!("ScanAggregate over {table} fails re-run of rule-6 eligibility"),
+                    format!(
+                        "ScanAggregate over {table} fails re-run of scan_aggregate eligibility"
+                    ),
                 );
             }
             check_filter_classes(filters.iter().collect(), rule, ordered)
-        }
-        LogicalPlan::Exchange { input } => {
-            match input.as_ref() {
-                LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-                    if !aggregate_exchange_eligible(input, group_by, items, hidden) {
-                        return violation(
-                            rule,
-                            "Exchange wraps an aggregate whose partials do not merge".to_string(),
-                        );
-                    }
-                }
-                LogicalPlan::Project { input, items, hidden } => {
-                    if !project_exchange_eligible(input, items, hidden) {
-                        return violation(
-                            rule,
-                            "Exchange wraps a non-vectorizable projection".to_string(),
-                        );
-                    }
-                }
-                other => {
-                    return violation(
-                        rule,
-                        format!("Exchange wraps a non-pipeline node ({})", node_name(other)),
-                    );
-                }
-            }
-            walk(input, rule, ordered, false, catalog)
         }
         LogicalPlan::Filter { .. } => {
             // Check each maximal chain once, from its outermost node.
@@ -197,12 +166,7 @@ fn walk(
             walk(input, rule, ordered, true, catalog)
         }
         LogicalPlan::Sort { input, keys, output_width } => {
-            // Peel a parallelization marker: Sort reads the pipeline output.
-            let mut child = input.as_ref();
-            if let LogicalPlan::Exchange { input } = child {
-                child = input;
-            }
-            let extended = match child {
+            let extended = match input.as_ref() {
                 LogicalPlan::Project { items, hidden, .. }
                 | LogicalPlan::Aggregate { items, hidden, .. }
                 | LogicalPlan::ScanAggregate { items, hidden, .. } => {
@@ -261,7 +225,7 @@ fn peel(mut plan: &LogicalPlan) -> (Vec<&Expr>, &LogicalPlan) {
     }
 }
 
-/// Rule 3's cost class of one residual conjunct: 0 = per-series dictionary
+/// `pushdown`'s cost class of one residual conjunct: 0 = per-series dictionary
 /// predicate, 1 = kernel-refinable point predicate, 2 = general expression.
 fn filter_class(predicate: &Expr, schema: &Schema) -> usize {
     let dict_only = {
@@ -278,7 +242,7 @@ fn filter_class(predicate: &Expr, schema: &Schema) -> usize {
     }
 }
 
-/// Checks a residual chain (outermost first) keeps rule 3's non-increasing
+/// Checks a residual chain (outermost first) keeps `pushdown`'s non-increasing
 /// cost-class order — equivalently: cheapest class innermost.
 fn check_filter_classes(filters: Vec<&Expr>, rule: &str, ordered: bool) -> Result<()> {
     if !ordered || filters.len() < 2 {
@@ -295,24 +259,6 @@ fn check_filter_classes(filters: Vec<&Expr>, rule: &str, ordered: bool) -> Resul
         );
     }
     Ok(())
-}
-
-fn node_name(plan: &LogicalPlan) -> &'static str {
-    match plan {
-        LogicalPlan::Scan { .. } => "Scan",
-        LogicalPlan::TsdbScan { .. } => "TsdbScan",
-        LogicalPlan::Unit => "Unit",
-        LogicalPlan::Alias { .. } => "Alias",
-        LogicalPlan::Filter { .. } => "Filter",
-        LogicalPlan::Project { .. } => "Project",
-        LogicalPlan::Aggregate { .. } => "Aggregate",
-        LogicalPlan::Join { .. } => "Join",
-        LogicalPlan::Sort { .. } => "Sort",
-        LogicalPlan::Limit { .. } => "Limit",
-        LogicalPlan::Union { .. } => "Union",
-        LogicalPlan::Exchange { .. } => "Exchange",
-        LogicalPlan::ScanAggregate { .. } => "ScanAggregate",
-    }
 }
 
 #[cfg(test)]
@@ -351,7 +297,7 @@ mod tests {
     #[test]
     fn well_formed_chain_passes() {
         let catalog = Catalog::new();
-        // general outermost, dict innermost: the order rule 3 produces.
+        // general outermost, dict innermost: the order `pushdown` produces.
         let plan = filter(
             filter(
                 scan(),
@@ -399,33 +345,10 @@ mod tests {
     }
 
     #[test]
-    fn exchange_over_scan_is_flagged() {
-        let catalog = Catalog::new();
-        let plan = LogicalPlan::Exchange { input: Box::new(scan()) };
-        let err = verify_plan(&plan, &catalog).unwrap_err();
-        assert!(matches!(&err, QueryError::Plan(m) if m.contains("non-pipeline")), "{err}");
-    }
-
-    #[test]
-    fn exchange_over_window_projection_is_flagged() {
-        let catalog = Catalog::new();
-        let lag = Expr::Function { name: "LAG".to_string(), args: vec![col("value"), lit(1)] };
-        let plan = LogicalPlan::Exchange {
-            input: Box::new(LogicalPlan::Project {
-                input: Box::new(scan()),
-                items: vec![(lag, "l".to_string())],
-                hidden: Vec::new(),
-            }),
-        };
-        let err = verify_plan(&plan, &catalog).unwrap_err();
-        assert!(matches!(&err, QueryError::Plan(m) if m.contains("non-vectorizable")), "{err}");
-    }
-
-    #[test]
     fn ineligible_scan_aggregate_is_flagged() {
         let catalog = Catalog::new();
         // MIN over the float value stream with no timestamp key: the NaN
-        // ordering rule excludes it from rule 6.
+        // ordering rule excludes it from `scan_aggregate`.
         let min_v = Expr::Function { name: "MIN".to_string(), args: vec![col("value")] };
         let plan = LogicalPlan::ScanAggregate {
             table: "tsdb".to_string(),
@@ -439,7 +362,10 @@ mod tests {
             hidden: Vec::new(),
         };
         let err = verify_plan(&plan, &catalog).unwrap_err();
-        assert!(matches!(&err, QueryError::Plan(m) if m.contains("rule-6")), "{err}");
+        assert!(
+            matches!(&err, QueryError::Plan(m) if m.contains("fails re-run of scan_aggregate eligibility")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -508,7 +434,7 @@ mod tests {
     fn raw_where_chain_skips_order_check_before_pushdown() {
         let catalog = Catalog::new();
         // Inverted order is fine right after constant folding — the chain
-        // is still the planner's, not rule 3's.
+        // is still the planner's, not `pushdown`'s.
         let plan = filter(
             filter(scan(), Expr::Function { name: "ABS".to_string(), args: vec![col("value")] }),
             Expr::Binary {

@@ -4,17 +4,18 @@
 //! same schema, same rows, same row order.
 //!
 //! Every query runs **four** ways: the pipeline serially (one partition,
-//! scan-aggregate pushdown off), the pipeline partition-parallel (a forced
-//! multi-morsel split with pushdown off, so partial-aggregate merging is
-//! exercised even on small inputs and single-core machines), the pipeline
-//! with the **scan-aggregate pushdown** enabled (forced multi-morsel, so
-//! the per-series pre-aggregation and its deterministic merge are
-//! exercised too), and the reference interpreter. All four must agree
-//! bit-for-bit — the accumulators are built to be exactly fold-equivalent
-//! (error-free sums, per-class MIN/MAX, gathered PERCENTILE) and the
-//! scan-aggregate operator reconstructs the serial first-seen group order
-//! from each group's earliest (timestamp, series rank) contribution, so
-//! this is an equality check, not an epsilon one.
+//! scan-aggregate pushdown off), the pipeline with a forced three-morsel
+//! split and pushdown off (the "parallel" arm: the TSDB scan gather
+//! materializes its columns per morsel and concatenates them in order,
+//! while every other operator runs its one serial executor), the pipeline
+//! with the **scan-aggregate pushdown** enabled (serial and forced
+//! multi-morsel, so the per-series pre-aggregation and its deterministic
+//! merge are exercised too), and the reference interpreter. All four must
+//! agree bit-for-bit — the accumulators are built to be exactly
+//! fold-equivalent (error-free sums, per-class MIN/MAX, gathered
+//! PERCENTILE) and the scan-aggregate operator reconstructs the serial
+//! first-seen group order from each group's earliest (timestamp, series
+//! rank) contribution, so this is an equality check, not an epsilon one.
 
 use explainit_query::reference::execute_naive;
 use explainit_query::{parse_query, Catalog, ExecOptions, Table, Value};
@@ -163,15 +164,23 @@ const ORDERS: [&str; 4] = ["", " ORDER BY ts", " ORDER BY v DESC", " ORDER BY ts
 
 /// Aggregate select lists for the aggregate-heavy generator — mixes the
 /// corrected semantics (sample STDDEV/VARIANCE, Int-preserving SUM,
-/// constant-p PERCENTILE) with the mergeable basics.
-const AGG_ITEMS: [&str; 6] = [
+/// constant-p PERCENTILE) with the mergeable basics, plus outputs that are
+/// not a plain aggregate call (arithmetic over an aggregate, a CASE over
+/// aggregates), which the serial aggregate evaluates per group.
+const AGG_ITEMS: [&str; 8] = [
     "AVG(v) AS m, COUNT(*) AS n, MAX(v) AS mx",
     "SUM(v) AS s, MIN(v) AS lo, STDDEV(v) AS sd",
     "VARIANCE(v) AS var, PERCENTILE(v, 0.5) AS med",
     "SUM(ts) AS s_int, COUNT(v) AS n",
     "PERCENTILE(v, 0.9) AS p90, STDDEV(v) AS sd, SUM(v) AS s",
     "MIN(host) AS h0, MAX(host) AS h1, VARIANCE(ts) AS vt",
+    "AVG(v) + 1 AS m1, COUNT(*) AS n",
+    "CASE WHEN COUNT(*) > 1 THEN MAX(v) ELSE MIN(v) END AS c",
 ];
+
+/// Group keys for the aggregate-heavy generator: plain columns and a
+/// scalar call.
+const AGG_KEYS: [&str; 3] = ["host", "ts", "ABS(ts)"];
 
 /// Group-key lists for the scan-aggregate generator: the timestamp
 /// column, dictionary-encoded keys, and combinations of both.
@@ -202,6 +211,23 @@ const SA_FILTERS: [&str; 7] = [
     " WHERE metric_name GLOB 'disk*' AND value > 0.0",
     " WHERE tag['host'] IS NULL",
 ];
+
+/// The scan gather's oracle: every in-range point of the series slices in
+/// canonical-key (rank) order, stably sorted by timestamp alone, so
+/// timestamp ties keep rank order.
+fn stable_sort_gather<'a>(
+    db: &'a Tsdb,
+    filter: &MetricFilter,
+    lo: i64,
+    hi: i64,
+) -> Vec<(i64, &'a SeriesKey, f64)> {
+    let mut rows = Vec::new();
+    for part in db.scan_parts_ordered_between(filter, lo, hi) {
+        rows.extend(part.timestamps.iter().zip(part.values).map(|(&ts, &v)| (ts, part.key, v)));
+    }
+    rows.sort_by_key(|&(ts, _, _)| ts);
+    rows
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -256,7 +282,7 @@ proptest! {
         items in 0usize..AGG_ITEMS.len(),
         p in 0usize..PREDICATES.len(),
         filtered in any::<bool>(),
-        key_is_host in any::<bool>(),
+        key in 0usize..AGG_KEYS.len(),
         order_by_key in any::<bool>(),
         global in any::<bool>(),
     ) {
@@ -266,9 +292,9 @@ proptest! {
         let sql = if global {
             format!("SELECT {agg} FROM t{filter}")
         } else {
-            let key = if key_is_host { "host" } else { "ts" };
-            let order = if order_by_key { format!(" ORDER BY {key}") } else { String::new() };
-            format!("SELECT {key}, {agg} FROM t{filter} GROUP BY {key}{order}")
+            let key = AGG_KEYS[key];
+            let order = if order_by_key { " ORDER BY k" } else { "" };
+            format!("SELECT {key} AS k, {agg} FROM t{filter} GROUP BY {key}{order}")
         };
         assert_same(&catalog, &sql)?;
     }
@@ -432,11 +458,11 @@ proptest! {
         span in 1i64..200,
         variant in 0usize..5,
     ) {
-        // The k-way merge gather must be bit-identical to the retained
-        // global stable sort across the shapes that stress its tiebreaks:
-        // duplicate timestamps across series (heap ties resolved by rank),
-        // series left empty by the time range, a single surviving series,
-        // and points at the i64 extremes.
+        // The k-way merge gather must be bit-identical to a global stable
+        // sort (the test-local oracle) across the shapes that stress its
+        // tiebreaks: duplicate timestamps across series (heap ties
+        // resolved by rank), series left empty by the time range, a single
+        // surviving series, and points at the i64 extremes.
         let mut db = Tsdb::new();
         for &(m, h, ts, v) in &points {
             db.insert(&SeriesKey::new(METRICS[m]).with_tag("host", HOSTS[h]), ts, v);
@@ -458,27 +484,56 @@ proptest! {
         catalog.register_tsdb("tsdb", &db);
 
         let hi = lo + span;
-        let sql = match variant {
-            0 => "SELECT * FROM tsdb".to_string(),
-            1 => format!("SELECT timestamp, value FROM tsdb WHERE timestamp BETWEEN {lo} AND {hi}"),
-            2 => "SELECT timestamp, value FROM tsdb WHERE metric_name = 'solo'".to_string(),
-            3 => format!("SELECT timestamp, tag['host'] AS h FROM tsdb WHERE timestamp >= {lo}"),
-            _ => "SELECT timestamp, metric_name, value FROM tsdb WHERE metric_name GLOB 'd*'"
-                .to_string(),
+        let (sql, filter, range) = match variant {
+            0 => ("SELECT * FROM tsdb".to_string(), MetricFilter::all(), (i64::MIN, i64::MAX)),
+            1 => (
+                format!("SELECT timestamp, value FROM tsdb WHERE timestamp BETWEEN {lo} AND {hi}"),
+                MetricFilter::all(),
+                (lo, hi),
+            ),
+            2 => (
+                "SELECT timestamp, value FROM tsdb WHERE metric_name = 'solo'".to_string(),
+                MetricFilter::name("solo"),
+                (i64::MIN, i64::MAX),
+            ),
+            3 => (
+                format!("SELECT timestamp, tag['host'] AS h FROM tsdb WHERE timestamp >= {lo}"),
+                MetricFilter::all(),
+                (lo, i64::MAX),
+            ),
+            _ => (
+                "SELECT timestamp, metric_name, value FROM tsdb WHERE metric_name GLOB 'd*'"
+                    .to_string(),
+                MetricFilter::name("d*"),
+                (i64::MIN, i64::MAX),
+            ),
         };
+        let project = |&(ts, key, v): &(i64, &SeriesKey, f64)| -> Vec<Value> {
+            match variant {
+                0 => vec![
+                    Value::Int(ts),
+                    Value::str(&key.name),
+                    Value::Map(key.tags.clone()),
+                    Value::Float(v),
+                ],
+                1 | 2 => vec![Value::Int(ts), Value::Float(v)],
+                3 => vec![Value::Int(ts), key.tags.get("host").map_or(Value::Null, Value::str)],
+                _ => vec![Value::Int(ts), Value::str(&key.name), Value::Float(v)],
+            }
+        };
+        let expected: Vec<Vec<Value>> =
+            stable_sort_gather(&db, &filter, range.0, range.1).iter().map(project).collect();
         let query = parse_query(&sql).expect("generated query parses");
-        let merged = catalog
-            .execute_query_with(&query, ExecOptions { merge_gather: true, ..ExecOptions::default() })
-            .expect("merge gather runs");
-        let sorted = catalog
-            .execute_query_with(
-                &query,
-                ExecOptions { merge_gather: false, ..ExecOptions::default() },
-            )
-            .expect("stable sort runs");
-        prop_assert_eq!(merged.schema(), sorted.schema(), "schema mismatch for {}", &sql);
-        prop_assert_eq!(merged.rows(), sorted.rows(), "row mismatch for {}", &sql);
+        let merged =
+            catalog.execute_query_with(&query, ExecOptions::default()).expect("merge gather runs");
+        prop_assert_eq!(merged.rows(), expected.as_slice(), "oracle mismatch for {}", &sql);
         let naive = execute_naive(&catalog, &query).expect("reference runs");
+        prop_assert_eq!(
+            merged.schema().columns(),
+            naive.schema().columns(),
+            "schema mismatch for {}",
+            &sql
+        );
         prop_assert_eq!(merged.rows(), naive.rows(), "reference mismatch for {}", &sql);
     }
 
@@ -500,6 +555,51 @@ proptest! {
             .map(|(id, _)| id)
             .collect();
         prop_assert_eq!(fast, brute, "pattern {}", pattern);
+    }
+}
+
+/// Outputs that are not a plain aggregate call take the serial aggregate's
+/// per-group fallback; pins that each shape the generator uses runs (so
+/// the four-way comparison is never vacuously two errors) with exact
+/// values.
+#[test]
+fn non_decomposable_aggregate_outputs_pinned() {
+    let rows = vec![
+        vec![Value::Int(-1), Value::str("a"), Value::Float(1.0)],
+        vec![Value::Int(1), Value::str("a"), Value::Float(3.0)],
+        vec![Value::Int(2), Value::str("b"), Value::Float(5.0)],
+    ];
+    let mut catalog = Catalog::new();
+    catalog.register("t", Table::from_rows(&["ts", "host", "v"], rows));
+    let cases: [(&str, Vec<Vec<Value>>); 3] = [
+        (
+            "SELECT host AS k, AVG(v) + 1 AS m1, COUNT(*) AS n FROM t GROUP BY host",
+            vec![
+                vec![Value::str("a"), Value::Float(3.0), Value::Int(2)],
+                vec![Value::str("b"), Value::Float(6.0), Value::Int(1)],
+            ],
+        ),
+        (
+            "SELECT host AS k, CASE WHEN COUNT(*) > 1 THEN MAX(v) ELSE MIN(v) END AS c \
+             FROM t GROUP BY host",
+            vec![
+                vec![Value::str("a"), Value::Float(3.0)],
+                vec![Value::str("b"), Value::Float(5.0)],
+            ],
+        ),
+        (
+            "SELECT ABS(ts) AS k, SUM(v) AS s FROM t GROUP BY ABS(ts) ORDER BY k",
+            // ABS is a float function, so the key is a Float.
+            vec![
+                vec![Value::Float(1.0), Value::Float(4.0)],
+                vec![Value::Float(2.0), Value::Float(5.0)],
+            ],
+        ),
+    ];
+    for (sql, expect) in cases {
+        let out = catalog.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(out.rows(), expect.as_slice(), "{sql}");
+        assert_same(&catalog, sql).unwrap();
     }
 }
 

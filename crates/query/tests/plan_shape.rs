@@ -46,7 +46,6 @@ fn fires_for_the_family_query() {
     assert!(plan.contains("name=cpu"), "plan:\n{plan}");
     assert!(plan.contains("time=[0, 600]"), "plan:\n{plan}");
     assert!(!plan.contains("TsdbScan"), "the scan is absorbed:\n{plan}");
-    assert!(!plan.contains("Exchange"), "the exchange marker is absorbed:\n{plan}");
 }
 
 #[test]
@@ -96,7 +95,7 @@ fn fires_below_a_having_style_filter_which_stays_above() {
 fn falls_back_for_non_dict_group_keys() {
     let c = catalog();
     // `value` is not dictionary-encoded; grouping on it stays on the
-    // ordinary (exchange) pipeline.
+    // serial aggregate.
     let plan = explain(&c, "SELECT value, COUNT(*) AS n FROM tsdb GROUP BY value");
     assert!(!plan.contains("ScanAggregate"), "plan:\n{plan}");
     assert!(plan.contains("Aggregate"), "plan:\n{plan}");
