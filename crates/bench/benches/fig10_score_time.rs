@@ -1,5 +1,10 @@
 //! Criterion bench behind Figure 10: whole-scenario ranking time per
 //! scorer on a down-scaled evaluation scenario.
+//!
+//! Besides the five Table-6 scorers it times `Lasso` (its grid search runs
+//! coordinate descent with covariance updates on these narrow families)
+//! and `L2 GIVEN pipeline_input_rate` (every candidate residualised on
+//! one Z factored once per ranking). `-- --test` runs each case once.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use explainit_bench::{engine_for, rank_runtime};
@@ -25,11 +30,21 @@ fn bench_ranking_per_scorer(c: &mut Criterion) {
     let engine = engine_for(&sim, EngineConfig::default());
     let mut group = c.benchmark_group("fig10/full_ranking");
     group.sample_size(10);
-    for scorer in ScorerKind::table6_set() {
+    let mut scorers = ScorerKind::table6_set();
+    scorers.push(ScorerKind::Lasso);
+    for scorer in scorers {
         group.bench_with_input(BenchmarkId::new(scorer.name(), "480min"), &scorer, |b, &s| {
             b.iter(|| rank_runtime(&engine, &[], s));
         });
     }
+    let given = ["pipeline_input_rate"];
+    group.bench_function(BenchmarkId::new("L2 GIVEN pipeline_input_rate", "480min"), |b| {
+        b.iter(|| {
+            let ranking = rank_runtime(&engine, &given, ScorerKind::L2);
+            assert!(ranking.entries.iter().any(|e| e.error.is_none()), "no hypothesis scored");
+            ranking
+        });
+    });
     group.finish();
 }
 

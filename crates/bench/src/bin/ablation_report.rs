@@ -36,11 +36,14 @@ fn main() {
     println!("=== Ablation 1: Ridge vs Lasso (speed and score) ===");
     let t = 720;
     let x = noise(t, 240, 1);
-    // Sparse truth (2 of 240 features) and dense truth (all features),
-    // matching the two regimes that flip the speed ordering: coordinate
-    // descent converges in a handful of sweeps when the solution is sparse,
-    // but grinds when every coefficient is active — the paper's production
-    // families are dense, hence their "Ridge is often faster" experience.
+    // Sparse truth (2 of 240 features) and dense truth (all features). The
+    // design is taller than it is wide, so the lasso grid search runs
+    // coordinate descent with covariance updates (O(p) per coordinate,
+    // after one Gram product per fold). Measured on a 2-core container:
+    // Lasso ≈ 75 ms vs L2 ≈ 165 ms in both regimes; with residual updates
+    // (two O(n) passes per coordinate) Lasso took ≈ 140 ms, level with L2.
+    // Families wider than their time range still take residual updates —
+    // the paper's production regime, hence its "Ridge is often faster".
     let mut y_sparse = Matrix::zeros(t, 1);
     let mut y_dense = Matrix::zeros(t, 1);
     for i in 0..t {

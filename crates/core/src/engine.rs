@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 use explainit_sync::{LockClass, Mutex};
 
 use explainit_linalg::Matrix;
+use explainit_ml::Residualizer;
 
 /// Per-ranking worker results: a leaf push after each hypothesis is
 /// scored, so nothing ever nests inside it.
@@ -18,7 +19,9 @@ static ENGINE_RESULTS: LockClass = LockClass::new("core.engine.results", 90);
 
 use crate::family::FeatureFamily;
 use crate::hypothesis::HypothesisSet;
-use crate::scorers::{score_hypothesis, ScoreConfig, ScoreDetail, ScorerKind};
+use crate::scorers::{
+    conditioning, score_hypothesis, score_residuals, ScoreConfig, ScoreDetail, ScorerKind,
+};
 use crate::{CoreError, Result};
 
 /// Engine configuration.
@@ -189,7 +192,6 @@ impl Engine {
     ) -> Result<Ranking> {
         let started = Instant::now();
         let set = HypothesisSet::enumerate(&self.families, target, condition, search_space)?;
-        // Broadcast side: align Y with Z once (§4.2 broadcast join).
         let y_family = &self.families[set.y];
         let mut shared_ts = y_family.timestamps.clone();
         for &zi in &set.z {
@@ -201,6 +203,10 @@ impl Engine {
                 needed: self.config.min_rows,
             });
         }
+        // Broadcast side: align Y with Z once (§4.2 broadcast join), factor
+        // Z and residualise Y on it once for every candidate that covers
+        // the shared timestamps.
+        let side = self.broadcast_side(&set, &shared_ts);
         let tasks: Vec<usize> = set.xs.clone();
         let results: Mutex<Vec<(usize, ScoreOutcome)>> =
             Mutex::new(&ENGINE_RESULTS, Vec::with_capacity(tasks.len()));
@@ -220,7 +226,10 @@ impl Engine {
                         break;
                     }
                     let xi = tasks[i];
-                    let outcome = self.score_one(xi, set.y, &set.z, &shared_ts, scorer);
+                    let outcome = side
+                        .as_ref()
+                        .and_then(|side| self.score_on_side(xi, side, &shared_ts, scorer))
+                        .unwrap_or_else(|| self.score_one(xi, set.y, &set.z, &shared_ts, scorer));
                     results.lock().push((xi, outcome));
                 });
             }
@@ -277,8 +286,10 @@ impl Engine {
         })
     }
 
-    /// Scores one hypothesis (used by both the parallel loop and the
-    /// benchmarks, which need isolated per-hypothesis timings).
+    /// Scores one hypothesis on its own: aligns X, Y and Z on the
+    /// timestamps X shares with `shared_ts` and residualises both sides on
+    /// Z. The ranking loop uses it for candidates with gaps in
+    /// `shared_ts`; benchmarks use it for isolated per-hypothesis timings.
     pub fn score_one(
         &self,
         x_index: usize,
@@ -299,24 +310,73 @@ impl Engine {
         }
         let x = x_fam.restrict_to(&ts).data;
         let y = self.families[y_index].restrict_to(&ts).data;
-        let z: Option<Matrix> = if z_indices.is_empty() {
+        let z = if z_indices.is_empty() {
             None
         } else {
-            let mut acc: Option<Matrix> = None;
-            for &zi in z_indices {
-                let zm = self.families[zi].restrict_to(&ts).data;
-                acc = Some(match acc {
-                    None => zm,
-                    Some(prev) => prev.hcat(&zm).expect("same rows"),
-                });
-            }
-            acc
+            let families = z_indices.iter().map(|&zi| &self.families[zi]);
+            Some(FeatureFamily::side_by_side(families, &ts).map_err(|e| e.to_string())?)
         };
         let detail = score_hypothesis(scorer, &x, &y, z.as_ref(), &self.config.score)
             .map_err(|e| e.to_string())?;
         Ok((detail, started.elapsed()))
     }
+
+    /// The broadcast side of a conditioned ranking: Z assembled on
+    /// `shared_ts`, factored once, and Y's residual on it. `None` without
+    /// conditioning columns. A Z that cannot be assembled or factored is
+    /// kept as the error each hypothesis reports, as if it had
+    /// residualised on its own.
+    fn broadcast_side(&self, set: &HypothesisSet, shared_ts: &[i64]) -> Option<BroadcastSide> {
+        if set.z.is_empty() {
+            return None;
+        }
+        let z = match FeatureFamily::side_by_side(
+            set.z.iter().map(|&zi| &self.families[zi]),
+            shared_ts,
+        ) {
+            Ok(z) if z.ncols() == 0 => return None,
+            Ok(z) => z,
+            Err(e) => return Some(Err(e)),
+        };
+        let rows = shared_ts.len();
+        let needed = 2 * self.config.score.cv.k_folds;
+        // The first check `score_hypothesis` makes.
+        if rows < needed {
+            return Some(Err(CoreError::InsufficientOverlap { rows, needed }));
+        }
+        Some(conditioning(&z).and_then(|residualizer| {
+            let ry = residualizer.residuals(&self.families[set.y].restrict_to(shared_ts).data)?;
+            Ok((residualizer, ry))
+        }))
+    }
+
+    /// Scores candidate `x_index` against the broadcast side, residualising
+    /// only X. `None` when X has gaps in `shared_ts`: such a candidate is
+    /// scored on its own timestamps by [`Engine::score_one`].
+    fn score_on_side(
+        &self,
+        x_index: usize,
+        side: &BroadcastSide,
+        shared_ts: &[i64],
+        scorer: ScorerKind,
+    ) -> Option<ScoreOutcome> {
+        let started = Instant::now();
+        let x_fam = &self.families[x_index];
+        let ts = x_fam.shared_timestamps(shared_ts);
+        if ts.len() != shared_ts.len() {
+            return None;
+        }
+        let scored = side.as_ref().map_err(Clone::clone).and_then(|(residualizer, ry)| {
+            let rx = residualizer.residuals(&x_fam.restrict_to(&ts).data)?;
+            score_residuals(scorer, &rx, ry, &self.config.score)
+        });
+        Some(scored.map(|detail| (detail, started.elapsed())).map_err(|e| e.to_string()))
+    }
 }
+
+/// Z's factorisation and Y's residual on the shared timestamps, or the
+/// error residualising on Z meets.
+type BroadcastSide = Result<(Residualizer, Matrix)>;
 
 #[cfg(test)]
 mod tests {

@@ -4,6 +4,8 @@ use explainit_linalg::Matrix;
 use explainit_query::FamilyFrame;
 use explainit_tsdb::AlignedFrame;
 
+use crate::{CoreError, Result};
+
 /// A feature family (§3.2): a human-relatable group of univariate metrics —
 /// all series of one metric name, one host, one service, etc. — observed on
 /// a shared, sorted timestamp grid.
@@ -137,6 +139,34 @@ impl FeatureFamily {
         out
     }
 
+    /// The families' rows at `ts`, side by side — how the conditioning
+    /// matrix Z of §3.5 is assembled. `ts` must be a subset of every
+    /// family's timestamps; otherwise the row counts differ and this is a
+    /// [`CoreError::Model`]. No families give a `ts.len() × 0` matrix.
+    pub fn side_by_side<'a>(
+        families: impl IntoIterator<Item = &'a FeatureFamily>,
+        ts: &[i64],
+    ) -> Result<Matrix> {
+        let mut z = Matrix::zeros(ts.len(), 0);
+        for family in families {
+            let m = family.restrict_to(ts).data;
+            if m.nrows() != ts.len() {
+                return Err(CoreError::Model(format!(
+                    "{} has {} of the {} shared timestamps",
+                    family.name,
+                    m.nrows(),
+                    ts.len()
+                )));
+            }
+            z = if z.ncols() == 0 {
+                m
+            } else {
+                z.hcat(&m).map_err(|e| CoreError::Model(e.to_string()))?
+            };
+        }
+        Ok(z)
+    }
+
     /// Merges several families into one wider family (same grid required),
     /// prefixing feature names with the source family name. Used when the
     /// user re-groups semantically similar families (§5.1's takeaway).
@@ -219,6 +249,23 @@ mod tests {
         let a = fam("a", vec![0, 60]);
         let b = fam("b", vec![0, 120]);
         FeatureFamily::merge("ab", &[&a, &b]);
+    }
+
+    #[test]
+    fn side_by_side_stacks_columns_or_errors() {
+        let a = fam("a", vec![0, 60, 120]);
+        let b = fam("b", vec![0, 60, 120, 180]);
+        let z = FeatureFamily::side_by_side([&a, &b], &[60, 120]).unwrap();
+        assert_eq!(z.shape(), (2, 2));
+        assert_eq!(z.row(1), &[120.0, 120.0]);
+        assert_eq!(FeatureFamily::side_by_side([], &[0, 60]).unwrap().shape(), (2, 0));
+        // 180 is not a timestamp of `a`: its rows would not line up.
+        for order in [[&a, &b], [&b, &a]] {
+            assert!(matches!(
+                FeatureFamily::side_by_side(order, &[60, 180]),
+                Err(CoreError::Model(_))
+            ));
+        }
     }
 
     #[test]

@@ -96,5 +96,11 @@ impl std::fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
+impl From<explainit_ml::MlError> for CoreError {
+    fn from(e: explainit_ml::MlError) -> Self {
+        CoreError::Model(e.to_string())
+    }
+}
+
 /// Result alias for engine operations.
 pub type Result<T> = std::result::Result<T, CoreError>;

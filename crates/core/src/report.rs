@@ -6,11 +6,11 @@
 //! "explains the sawtooth". Terminal-friendly ASCII renderings stand in for
 //! the web UI.
 
-use explainit_linalg::Matrix;
 use explainit_ml::RidgeModel;
 
 use crate::engine::{Engine, Ranking};
-use crate::scorers::residualize;
+use crate::family::FeatureFamily;
+use crate::scorers::conditioning;
 use crate::{CoreError, Result};
 
 /// The data behind a Figure-14/15 style overlay: observed target vs the
@@ -71,19 +71,10 @@ pub fn explain(
     let (x_eff, y_eff, conditioned) = if z_fams.is_empty() {
         (x, y, false)
     } else {
-        let mut z: Option<Matrix> = None;
-        for zf in &z_fams {
-            let zm = zf.restrict_to(&ts).data;
-            z = Some(match z {
-                None => zm,
-                Some(prev) => prev.hcat(&zm).expect("same rows"),
-            });
-        }
-        let z = z.expect("non-empty condition");
-        (residualize(&x, &z)?, residualize(&y, &z)?, true)
+        let z = conditioning(&FeatureFamily::side_by_side(z_fams, &ts)?)?;
+        (z.residuals(&x)?, z.residuals(&y)?, true)
     };
-    let model =
-        RidgeModel::fit(&x_eff, &y_eff, lambda).map_err(|e| CoreError::Model(e.to_string()))?;
+    let model = RidgeModel::fit(&x_eff, &y_eff, lambda)?;
     let pred = model.predict(&x_eff);
     Ok(Explanation {
         timestamps: ts,

@@ -17,7 +17,7 @@
 use explainit_linalg::Matrix;
 use explainit_ml::cv::PenaltyKind;
 use explainit_ml::projection::project_if_wide;
-use explainit_ml::{cross_validated_r2, CvConfig, RidgeModel};
+use explainit_ml::{cross_validated_r2, CvConfig, Residualizer};
 use explainit_stats::{chebyshev_p_value, pearson};
 
 use crate::{CoreError, Result};
@@ -125,6 +125,10 @@ impl Default for ScoreConfig {
     }
 }
 
+/// Penalty of the Z-residualisation: vanishing, so the fit is numerically
+/// OLS, which is what Appendix B's correctness proof assumes.
+pub const RESIDUALIZE_LAMBDA: f64 = 1e-8;
+
 /// Scores one hypothesis triple.
 ///
 /// `x` is `T × nx`, `y` is `T × ny`, `z` (optional) is `T × nz`; rows must
@@ -136,30 +140,38 @@ pub fn score_hypothesis(
     z: Option<&Matrix>,
     cfg: &ScoreConfig,
 ) -> Result<ScoreDetail> {
-    let n = y.nrows();
-    if x.nrows() != n || z.is_some_and(|z| z.nrows() != n) {
-        return Err(CoreError::Model("misaligned hypothesis matrices".into()));
-    }
-    if n < 2 * cfg.cv.k_folds {
-        return Err(CoreError::InsufficientOverlap { rows: n, needed: 2 * cfg.cv.k_folds });
-    }
+    check_rows(x, y, z, cfg)?;
     // Conditioning: residualise both sides on Z, then score the residuals
     // with the requested scorer (§3.5's unified treatment).
-    let (x_eff, y_eff) = match z {
+    match z {
         Some(z) if z.ncols() > 0 => {
-            let ry = residualize(y, z)?;
-            let rx = residualize(x, z)?;
-            (rx, ry)
+            let residualizer = conditioning(z)?;
+            let ry = residualizer.residuals(y)?;
+            let rx = residualizer.residuals(x)?;
+            score_residuals(kind, &rx, &ry, cfg)
         }
-        _ => (x.clone(), y.clone()),
-    };
+        _ => score_residuals(kind, x, y, cfg),
+    }
+}
+
+/// Scores `y ~ x` on data already residualised on Z (or unconditioned):
+/// the second half of [`score_hypothesis`], for callers that residualise
+/// many candidates on one Z.
+pub fn score_residuals(
+    kind: ScorerKind,
+    x_eff: &Matrix,
+    y_eff: &Matrix,
+    cfg: &ScoreConfig,
+) -> Result<ScoreDetail> {
+    check_rows(x_eff, y_eff, None, cfg)?;
+    let n = y_eff.nrows();
     match kind {
-        ScorerKind::CorrMean => corr_score(&x_eff, &y_eff, n, false),
-        ScorerKind::CorrMax => corr_score(&x_eff, &y_eff, n, true),
-        ScorerKind::L2 => joint_score(&x_eff, &y_eff, &cfg.cv, PenaltyKind::Ridge),
+        ScorerKind::CorrMean => corr_score(x_eff, y_eff, n, false),
+        ScorerKind::CorrMax => corr_score(x_eff, y_eff, n, true),
+        ScorerKind::L2 => joint_score(x_eff, y_eff, &cfg.cv, PenaltyKind::Ridge),
         ScorerKind::Lasso => {
             let cv = CvConfig { lambda_grid: cfg.lasso_lambda_grid.clone(), ..cfg.cv.clone() };
-            joint_score(&x_eff, &y_eff, &cv, PenaltyKind::Lasso)
+            joint_score(x_eff, y_eff, &cv, PenaltyKind::Lasso)
         }
         ScorerKind::L2P { d } => {
             if d == 0 {
@@ -168,7 +180,7 @@ pub fn score_hypothesis(
             // No dimension exceeds d: the projection is the identity, so
             // averaging over samples would just repeat the same fit.
             if x_eff.ncols() <= d && y_eff.ncols() <= d {
-                return joint_score(&x_eff, &y_eff, &cfg.cv, PenaltyKind::Ridge);
+                return joint_score(x_eff, y_eff, &cfg.cv, PenaltyKind::Ridge);
             }
             let samples = cfg.projection_samples.max(1);
             let mut acc = 0.0;
@@ -176,8 +188,8 @@ pub fn score_hypothesis(
             let mut eff = 0usize;
             for s in 0..samples {
                 let seed = cfg.seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(s as u64);
-                let xp = project_if_wide(&x_eff, d, seed);
-                let yp = project_if_wide(&y_eff, d, seed.wrapping_add(1));
+                let xp = project_if_wide(x_eff, d, seed);
+                let yp = project_if_wide(y_eff, d, seed.wrapping_add(1));
                 let detail = joint_score(&xp, &yp, &cfg.cv, PenaltyKind::Ridge)?;
                 acc += detail.score;
                 lambda = detail.best_lambda;
@@ -194,11 +206,29 @@ pub fn score_hypothesis(
     }
 }
 
-/// Residuals of a ridge regression `target ~ z` with a vanishing penalty —
-/// numerically OLS, which is what Appendix B's correctness proof assumes.
+/// Rejects misaligned matrices and too few rows for the folds.
+fn check_rows(x: &Matrix, y: &Matrix, z: Option<&Matrix>, cfg: &ScoreConfig) -> Result<()> {
+    let n = y.nrows();
+    if x.nrows() != n || z.is_some_and(|z| z.nrows() != n) {
+        return Err(CoreError::Model("misaligned hypothesis matrices".into()));
+    }
+    if n < 2 * cfg.cv.k_folds {
+        return Err(CoreError::InsufficientOverlap { rows: n, needed: 2 * cfg.cv.k_folds });
+    }
+    Ok(())
+}
+
+/// Standardises and factors the conditioning set Z once (ridge at
+/// [`RESIDUALIZE_LAMBDA`]), so that each target residualised on it costs
+/// only a solve.
+pub fn conditioning(z: &Matrix) -> Result<Residualizer> {
+    Ok(Residualizer::new(z, RESIDUALIZE_LAMBDA)?)
+}
+
+/// Residuals of the regression `target ~ z`: [`conditioning`] for one
+/// target.
 pub fn residualize(target: &Matrix, z: &Matrix) -> Result<Matrix> {
-    let model = RidgeModel::fit(z, target, 1e-8).map_err(|e| CoreError::Model(e.to_string()))?;
-    Ok(model.residuals(z, target))
+    Ok(conditioning(z)?.residuals(target)?)
 }
 
 fn corr_score(x: &Matrix, y: &Matrix, n: usize, take_max: bool) -> Result<ScoreDetail> {
@@ -232,7 +262,7 @@ fn corr_score(x: &Matrix, y: &Matrix, n: usize, take_max: bool) -> Result<ScoreD
 
 fn joint_score(x: &Matrix, y: &Matrix, cv: &CvConfig, penalty: PenaltyKind) -> Result<ScoreDetail> {
     let cv_cfg = CvConfig { penalty, ..cv.clone() };
-    let out = cross_validated_r2(x, y, &cv_cfg).map_err(|e| CoreError::Model(e.to_string()))?;
+    let out = cross_validated_r2(x, y, &cv_cfg)?;
     // Percent variance explained on unseen data, clamped (§3.5: 0 = no
     // predictive power, 1 = perfect).
     let score = out.r2.clamp(0.0, 1.0);

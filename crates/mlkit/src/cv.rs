@@ -16,9 +16,9 @@
 
 use explainit_linalg::Matrix;
 
-use crate::lasso::LassoModel;
+use crate::lasso::LassoPrecomputed;
 use crate::ridge::{r2_columns_mean, RidgePrecomputed};
-use crate::{MlError, Result};
+use crate::{check_lambda, MlError, Result};
 
 /// Which penalised model the grid search fits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,18 +109,55 @@ impl TimeSeriesSplit {
     }
 }
 
+/// Coordinate-descent sweep cap and tolerance of every lasso fit in the
+/// grid search.
+const LASSO_MAX_SWEEPS: usize = 200;
+const LASSO_TOL: f64 = 1e-7;
+
 /// Runs the paper's scoring protocol on `(X, Y)` and returns the best
 /// cross-validated r².
 ///
 /// Fold-level failures (e.g. a singular fold with λ = 0) count as r² = 0 for
 /// that fold rather than aborting the whole hypothesis — one degenerate
-/// block of a long time range should not zero out the entire score.
+/// block of a long time range should not zero out the entire score. A
+/// configuration no fold could run — fewer than two folds, or an empty,
+/// negative or non-finite penalty grid — is [`MlError::InvalidConfig`].
 pub fn cross_validated_r2(x: &Matrix, y: &Matrix, cfg: &CvConfig) -> Result<CvScore> {
+    cross_validate(x, y, cfg, LassoPrecomputed::new)
+}
+
+/// The λ-independent statistics of one training fold.
+enum FoldStats {
+    Ridge(RidgePrecomputed),
+    Lasso(LassoPrecomputed),
+}
+
+/// One fold: its training statistics and its held-out block.
+struct Fold {
+    stats: FoldStats,
+    x_val: Matrix,
+    y_val: Matrix,
+}
+
+/// [`cross_validated_r2`] with the lasso statistics built by `lasso`, so
+/// tests can run the grid search on the residual-update oracle.
+fn cross_validate(
+    x: &Matrix,
+    y: &Matrix,
+    cfg: &CvConfig,
+    lasso: fn(&Matrix, &Matrix) -> Result<LassoPrecomputed>,
+) -> Result<CvScore> {
     if x.nrows() != y.nrows() {
         return Err(MlError::RowMismatch { x_rows: x.nrows(), y_rows: y.nrows() });
     }
+    if cfg.k_folds < 2 {
+        return Err(MlError::InvalidConfig(format!("need at least 2 folds, got {}", cfg.k_folds)));
+    }
     if cfg.lambda_grid.is_empty() {
-        return Err(MlError::SolveFailed("empty lambda grid".into()));
+        return Err(MlError::InvalidConfig("empty lambda grid".into()));
+    }
+    for &lambda in &cfg.lambda_grid {
+        check_lambda(lambda)?;
     }
     let n = x.nrows();
     if n < 2 * cfg.k_folds {
@@ -131,37 +168,34 @@ pub fn cross_validated_r2(x: &Matrix, y: &Matrix, cfg: &CvConfig) -> Result<CvSc
     }
     let split = TimeSeriesSplit::new(n, cfg.k_folds);
 
-    // Pre-slice folds once; reuse across the lambda grid. For ridge, also
-    // precompute the λ-independent Gram statistics per fold — the grid then
-    // only pays one Cholesky per (fold, λ).
+    // Build each fold's λ-independent statistics once and reuse them across
+    // the grid: ridge then pays one Cholesky per (fold, λ), lasso one
+    // coordinate descent. The training rows themselves are not kept.
     let mut folds = Vec::with_capacity(cfg.k_folds);
     for f in 0..cfg.k_folds {
         let (vs, ve) = split.validation_range(f);
         let train_idx = split.training_indices(f);
         let x_train = x.select_rows(&train_idx);
         let y_train = y.select_rows(&train_idx);
-        let x_val = x.row_range(vs, ve);
-        let y_val = y.row_range(vs, ve);
-        let pre = match cfg.penalty {
-            PenaltyKind::Ridge => Some(RidgePrecomputed::new(&x_train, &y_train)?),
-            PenaltyKind::Lasso => None,
+        let stats = match cfg.penalty {
+            PenaltyKind::Ridge => FoldStats::Ridge(RidgePrecomputed::new(&x_train, &y_train)?),
+            PenaltyKind::Lasso => FoldStats::Lasso(lasso(&x_train, &y_train)?),
         };
-        folds.push((x_train, y_train, x_val, y_val, pre));
+        folds.push(Fold { stats, x_val: x.row_range(vs, ve), y_val: y.row_range(vs, ve) });
     }
 
     let mut best: Option<CvScore> = None;
     for &lambda in &cfg.lambda_grid {
         let mut acc = 0.0;
-        for (x_train, y_train, x_val, y_val, pre) in &folds {
-            let baseline = y_train.column_means();
-            let fold_r2 = match cfg.penalty {
-                PenaltyKind::Ridge => pre
-                    .as_ref()
-                    .expect("precomputed for ridge")
-                    .fit(lambda)
-                    .map(|m| r2_columns_mean(y_val, &m.predict(x_val), &baseline)),
-                PenaltyKind::Lasso => LassoModel::fit(x_train, y_train, lambda, 200, 1e-7)
-                    .map(|m| r2_columns_mean(y_val, &m.predict(x_val), &baseline)),
+        for fold in &folds {
+            // The baseline predicts the training mean (§3.5).
+            let fold_r2 = match &fold.stats {
+                FoldStats::Ridge(pre) => pre.fit(lambda).map(|m| {
+                    r2_columns_mean(&fold.y_val, &m.predict(&fold.x_val), pre.target_means())
+                }),
+                FoldStats::Lasso(pre) => pre.fit(lambda, LASSO_MAX_SWEEPS, LASSO_TOL).map(|m| {
+                    r2_columns_mean(&fold.y_val, &m.predict(&fold.x_val), pre.target_means())
+                }),
             }
             .unwrap_or(0.0);
             // The paper's score lives in [0, 1] ("percent variance
@@ -303,5 +337,37 @@ mod tests {
         let (x, y) = signal_data(60);
         let cfg = CvConfig { lambda_grid: vec![], ..CvConfig::default() };
         assert!(cross_validated_r2(&x, &y, &cfg).is_err());
+    }
+
+    #[test]
+    fn invalid_settings_are_errors_not_panics() {
+        let (x, y) = signal_data(60);
+        let bad_grids = [vec![], vec![1.0, -1.0], vec![f64::NAN], vec![0.1, f64::INFINITY]];
+        for penalty in [PenaltyKind::Ridge, PenaltyKind::Lasso] {
+            for grid in &bad_grids {
+                let cfg = CvConfig { lambda_grid: grid.clone(), penalty, ..CvConfig::default() };
+                assert!(
+                    matches!(cross_validated_r2(&x, &y, &cfg), Err(MlError::InvalidConfig(_))),
+                    "{penalty:?} {grid:?}"
+                );
+            }
+            for k_folds in [0, 1] {
+                let cfg = CvConfig { k_folds, penalty, ..CvConfig::default() };
+                assert!(matches!(cross_validated_r2(&x, &y, &cfg), Err(MlError::InvalidConfig(_))));
+            }
+        }
+    }
+
+    #[test]
+    fn lasso_grid_search_matches_residual_oracle() {
+        let grid = vec![1e-4, 1e-3, 1e-2, 1e-1, 1.0];
+        let cfg =
+            CvConfig { penalty: PenaltyKind::Lasso, lambda_grid: grid, ..CvConfig::default() };
+        for (x, y) in [signal_data(150), noise_data(120, 6), noise_data(60, 9)] {
+            let fast = cross_validated_r2(&x, &y, &cfg).unwrap();
+            let oracle = cross_validate(&x, &y, &cfg, LassoPrecomputed::residual_form).unwrap();
+            assert_eq!(fast.best_lambda, oracle.best_lambda);
+            assert!((fast.r2 - oracle.r2).abs() <= 1e-12, "{fast:?} vs {oracle:?}");
+        }
     }
 }

@@ -14,6 +14,9 @@
 
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // indexed loops read naturally in these math kernels
+
+use explainit_linalg::Matrix;
+
 pub mod cv;
 pub mod lasso;
 pub mod ols;
@@ -25,7 +28,7 @@ pub use cv::{cross_validated_r2, CvConfig, TimeSeriesSplit};
 pub use lasso::LassoModel;
 pub use ols::OlsModel;
 pub use projection::GaussianProjection;
-pub use ridge::RidgeModel;
+pub use ridge::{Residualizer, RidgeModel};
 pub use standardize::Standardizer;
 
 /// Errors surfaced by model fitting.
@@ -49,6 +52,9 @@ pub enum MlError {
     NonFiniteInput,
     /// An inner linear solve failed (singular / not positive definite).
     SolveFailed(String),
+    /// A fitting or cross-validation setting is out of range: a negative
+    /// or non-finite penalty, or fewer than two folds.
+    InvalidConfig(String),
 }
 
 impl std::fmt::Display for MlError {
@@ -62,6 +68,7 @@ impl std::fmt::Display for MlError {
             }
             MlError::NonFiniteInput => write!(f, "input contains NaN or infinite values"),
             MlError::SolveFailed(msg) => write!(f, "linear solve failed: {msg}"),
+            MlError::InvalidConfig(msg) => write!(f, "invalid model configuration: {msg}"),
         }
     }
 }
@@ -70,3 +77,29 @@ impl std::error::Error for MlError {}
 
 /// Result alias for model fitting.
 pub type Result<T> = std::result::Result<T, MlError>;
+
+/// Rejects a penalty that is negative, NaN or infinite.
+pub(crate) fn check_lambda(lambda: f64) -> Result<()> {
+    if lambda >= 0.0 && lambda.is_finite() {
+        Ok(())
+    } else {
+        Err(MlError::InvalidConfig(format!(
+            "penalty must be finite and non-negative, got {lambda}"
+        )))
+    }
+}
+
+/// The row, size and finiteness checks every fit applies to `(x, y)`, in
+/// this order.
+pub(crate) fn check_fit_inputs(x: &Matrix, y: &Matrix) -> Result<()> {
+    if x.nrows() != y.nrows() {
+        return Err(MlError::RowMismatch { x_rows: x.nrows(), y_rows: y.nrows() });
+    }
+    if x.nrows() < 2 {
+        return Err(MlError::TooFewRows { rows: x.nrows(), needed: 2 });
+    }
+    if x.has_non_finite() || y.has_non_finite() {
+        return Err(MlError::NonFiniteInput);
+    }
+    Ok(())
+}

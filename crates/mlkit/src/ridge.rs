@@ -11,11 +11,18 @@
 //! Fits centre X and Y (intercept handling) and standardise X columns so the
 //! penalty treats features symmetrically, matching scikit-learn's
 //! `Ridge(normalize=...)`-era behaviour the paper relied on.
+//!
+//! Everything that depends only on X — the standardised design, its Gram
+//! matrix and, at a fixed λ, its Cholesky factor — can be computed once and
+//! reused across targets: [`RidgePrecomputed`] keeps the Gram for a λ grid,
+//! and [`Residualizer`] keeps the factor for residualising many targets on
+//! one conditioning set Z (§3.5's three-regression procedure, where Z is
+//! the same for every hypothesis of a ranking).
 
 use explainit_linalg::{Cholesky, Matrix};
 
 use crate::standardize::Standardizer;
-use crate::{MlError, Result};
+use crate::{check_fit_inputs, check_lambda, MlError, Result};
 
 /// A fitted multi-target ridge model.
 #[derive(Debug, Clone)]
@@ -34,39 +41,16 @@ impl RidgeModel {
     ///
     /// `lambda = 0` is permitted but may fail with
     /// [`MlError::SolveFailed`] on singular designs; scoring always uses
-    /// positive penalties.
+    /// positive penalties. A negative or non-finite `lambda` is
+    /// [`MlError::InvalidConfig`].
     pub fn fit(x: &Matrix, y: &Matrix, lambda: f64) -> Result<Self> {
-        if x.nrows() != y.nrows() {
-            return Err(MlError::RowMismatch { x_rows: x.nrows(), y_rows: y.nrows() });
-        }
-        if x.nrows() < 2 {
-            return Err(MlError::TooFewRows { rows: x.nrows(), needed: 2 });
-        }
-        if x.has_non_finite() || y.has_non_finite() {
-            return Err(MlError::NonFiniteInput);
-        }
-        assert!(lambda >= 0.0 && lambda.is_finite(), "lambda must be non-negative");
+        check_fit_inputs(x, y)?;
+        check_lambda(lambda)?;
         let (x_standardizer, xs) = Standardizer::fit_transform(x);
-        let y_means = y.column_means();
-        let mut yc = y.clone();
-        yc.center_columns_in_place(&y_means);
-
-        let (n, p) = xs.shape();
-        let beta_std = if p <= n {
-            // Primal: (X^T X + λI) β = X^T Y.
-            let mut gram = xs.xtx();
-            gram.add_diagonal(lambda.max(0.0));
-            let chol = Cholesky::factor(&gram).map_err(|e| MlError::SolveFailed(e.to_string()))?;
-            let xty = xs.xt_mul(&yc).expect("shapes checked");
-            chol.solve(&xty).map_err(|e| MlError::SolveFailed(e.to_string()))?
-        } else {
-            // Dual: β = X^T (X X^T + λI)^{-1} Y.
-            let mut k = xs.xxt();
-            k.add_diagonal(lambda.max(1e-12));
-            let chol = Cholesky::factor(&k).map_err(|e| MlError::SolveFailed(e.to_string()))?;
-            let alpha = chol.solve(&yc).map_err(|e| MlError::SolveFailed(e.to_string()))?;
-            xs.xt_mul(&alpha).expect("shapes checked")
-        };
+        let (y_means, yc) = centred(y);
+        let primal = xs.ncols() <= xs.nrows();
+        let chol = factor_regularised(gram(&xs, primal), lambda, primal)?;
+        let beta_std = solve_std(&xs, primal, &chol, &rhs(&xs, primal, yc))?;
         Ok(RidgeModel { beta_std, x_standardizer, y_means, lambda })
     }
 
@@ -92,15 +76,7 @@ impl RidgeModel {
     /// # Panics
     /// Panics if the column count differs from the training design.
     pub fn predict(&self, x: &Matrix) -> Matrix {
-        let xs = self.x_standardizer.transform(x);
-        let mut out = xs.matmul(&self.beta_std).expect("shape checked");
-        for i in 0..out.nrows() {
-            let row = out.row_mut(i);
-            for (v, &m) in row.iter_mut().zip(self.y_means.iter()) {
-                *v += m;
-            }
-        }
-        out
+        predict_std(&self.x_standardizer.transform(x), &self.beta_std, &self.y_means)
     }
 
     /// Residuals `Y - Ŷ`.
@@ -140,48 +116,134 @@ pub struct RidgePrecomputed {
 impl RidgePrecomputed {
     /// Builds the λ-independent statistics.
     pub fn new(x: &Matrix, y: &Matrix) -> Result<Self> {
-        if x.nrows() != y.nrows() {
-            return Err(MlError::RowMismatch { x_rows: x.nrows(), y_rows: y.nrows() });
-        }
-        if x.nrows() < 2 {
-            return Err(MlError::TooFewRows { rows: x.nrows(), needed: 2 });
-        }
-        if x.has_non_finite() || y.has_non_finite() {
-            return Err(MlError::NonFiniteInput);
-        }
+        check_fit_inputs(x, y)?;
         let (x_standardizer, xs) = Standardizer::fit_transform(x);
-        let y_means = y.column_means();
-        let mut yc = y.clone();
-        yc.center_columns_in_place(&y_means);
-        let (n, p) = xs.shape();
-        let primal = p <= n;
-        let (gram, rhs) = if primal {
-            (xs.xtx(), xs.xt_mul(&yc).expect("shapes checked"))
-        } else {
-            (xs.xxt(), yc)
-        };
+        let (y_means, yc) = centred(y);
+        let primal = xs.ncols() <= xs.nrows();
+        let gram = gram(&xs, primal);
+        let rhs = rhs(&xs, primal, yc);
         Ok(RidgePrecomputed { xs, x_standardizer, y_means, gram, rhs, primal })
     }
 
+    /// Column means of the training targets — the baseline predictor of
+    /// an out-of-sample r².
+    pub fn target_means(&self) -> &[f64] {
+        &self.y_means
+    }
+
     /// Fits a model at the given penalty, reusing the precomputed Gram.
+    /// Bit-identical to [`RidgeModel::fit`] on the same data.
     pub fn fit(&self, lambda: f64) -> Result<RidgeModel> {
-        assert!(lambda >= 0.0 && lambda.is_finite(), "lambda must be non-negative");
-        let mut g = self.gram.clone();
-        g.add_diagonal(if self.primal { lambda.max(0.0) } else { lambda.max(1e-12) });
-        let chol = Cholesky::factor(&g).map_err(|e| MlError::SolveFailed(e.to_string()))?;
-        let beta_std = if self.primal {
-            chol.solve(&self.rhs).map_err(|e| MlError::SolveFailed(e.to_string()))?
-        } else {
-            let alpha = chol.solve(&self.rhs).map_err(|e| MlError::SolveFailed(e.to_string()))?;
-            self.xs.xt_mul(&alpha).expect("shapes checked")
-        };
+        check_lambda(lambda)?;
+        let chol = factor_regularised(self.gram.clone(), lambda, self.primal)?;
         Ok(RidgeModel {
-            beta_std,
+            beta_std: solve_std(&self.xs, self.primal, &chol, &self.rhs)?,
             x_standardizer: self.x_standardizer.clone(),
             y_means: self.y_means.clone(),
             lambda,
         })
     }
+}
+
+/// Ridge residuals of many targets on one design Z, factoring Z once.
+///
+/// [`Residualizer::residuals`] is bit-identical to
+/// `RidgeModel::fit(z, target, lambda)?.residuals(z, target)`: it runs the
+/// same operations in the same order, minus the standardisation, Gram
+/// product and Cholesky factorisation of Z, which it does once in
+/// [`Residualizer::new`]. Errors match too, for any target with Z's row
+/// count: a Z that is short or not finite fails here; a target that is not
+/// finite, and then a factorisation that failed, fail in `residuals`, the
+/// order in which `fit` checks them.
+#[derive(Debug, Clone)]
+pub struct Residualizer {
+    zs: Matrix,
+    primal: bool,
+    factor: Result<Cholesky>,
+}
+
+impl Residualizer {
+    /// Standardises and factors `z` (`Z^T Z + λI`, or `Z Z^T + λI` when Z
+    /// is wider than it is tall).
+    pub fn new(z: &Matrix, lambda: f64) -> Result<Self> {
+        if z.nrows() < 2 {
+            return Err(MlError::TooFewRows { rows: z.nrows(), needed: 2 });
+        }
+        if z.has_non_finite() {
+            return Err(MlError::NonFiniteInput);
+        }
+        check_lambda(lambda)?;
+        let (_, zs) = Standardizer::fit_transform(z);
+        let primal = zs.ncols() <= zs.nrows();
+        let factor = factor_regularised(gram(&zs, primal), lambda, primal);
+        Ok(Residualizer { zs, primal, factor })
+    }
+
+    /// `target − Ẑβ`, the residuals of the ridge regression of `target`
+    /// on Z.
+    pub fn residuals(&self, target: &Matrix) -> Result<Matrix> {
+        if target.nrows() != self.zs.nrows() {
+            return Err(MlError::RowMismatch { x_rows: self.zs.nrows(), y_rows: target.nrows() });
+        }
+        if target.has_non_finite() {
+            return Err(MlError::NonFiniteInput);
+        }
+        let chol = self.factor.as_ref().map_err(Clone::clone)?;
+        let (y_means, yc) = centred(target);
+        let beta_std = solve_std(&self.zs, self.primal, chol, &rhs(&self.zs, self.primal, yc))?;
+        Ok(target.sub(&predict_std(&self.zs, &beta_std, &y_means)).expect("target rows checked"))
+    }
+}
+
+/// Column means of `y` and `y` centred on them.
+fn centred(y: &Matrix) -> (Vec<f64>, Matrix) {
+    let means = y.column_means();
+    let mut yc = y.clone();
+    yc.center_columns_in_place(&means);
+    (means, yc)
+}
+
+/// The λ-independent Gram matrix: `X^T X` (primal) or `X X^T` (dual).
+fn gram(xs: &Matrix, primal: bool) -> Matrix {
+    if primal {
+        xs.xtx()
+    } else {
+        xs.xxt()
+    }
+}
+
+/// The right-hand side for centred targets: `X^T Y` (primal) or `Y`
+/// itself (dual).
+fn rhs(xs: &Matrix, primal: bool, yc: Matrix) -> Matrix {
+    if primal {
+        xs.xt_mul(&yc).expect("shapes checked")
+    } else {
+        yc
+    }
+}
+
+/// Adds the penalty to the Gram diagonal and factors it.
+fn factor_regularised(mut gram: Matrix, lambda: f64, primal: bool) -> Result<Cholesky> {
+    gram.add_diagonal(if primal { lambda.max(0.0) } else { lambda.max(1e-12) });
+    Cholesky::factor(&gram).map_err(|e| MlError::SolveFailed(e.to_string()))
+}
+
+/// Coefficients in standardised space from the factored system.
+fn solve_std(xs: &Matrix, primal: bool, chol: &Cholesky, rhs: &Matrix) -> Result<Matrix> {
+    let solved = chol.solve(rhs).map_err(|e| MlError::SolveFailed(e.to_string()))?;
+    Ok(if primal { solved } else { xs.xt_mul(&solved).expect("shapes checked") })
+}
+
+/// `xs β + means`, row by row: a prediction from a standardised design.
+pub(crate) fn predict_std(xs: &Matrix, beta_std: &Matrix, y_means: &[f64]) -> Matrix {
+    let mut out = xs.matmul(beta_std).expect("shape checked");
+    for i in 0..out.nrows() {
+        let row = out.row_mut(i);
+        for (v, &m) in row.iter_mut().zip(y_means.iter()) {
+            *v += m;
+        }
+    }
+    out
 }
 
 /// Mean r² over target columns: `1 - RSS_j / TSS_j` with TSS around
@@ -374,5 +436,36 @@ mod tests {
         let m = RidgeModel::fit(&x_train, &y_train, 0.01).unwrap();
         let r2 = m.r2_out_of_sample(&x_test, &y_test, &y_train.column_means());
         assert!(r2 > 0.99, "r2 = {r2}");
+    }
+
+    #[test]
+    fn invalid_lambda_is_an_error() {
+        let (x, y) = linear_data(20);
+        let pre = RidgePrecomputed::new(&x, &y).unwrap();
+        for l in [-1.0, f64::NAN, f64::NEG_INFINITY] {
+            assert!(matches!(RidgeModel::fit(&x, &y, l), Err(MlError::InvalidConfig(_))));
+            assert!(matches!(pre.fit(l), Err(MlError::InvalidConfig(_))));
+            assert!(matches!(Residualizer::new(&x, l), Err(MlError::InvalidConfig(_))));
+        }
+    }
+
+    #[test]
+    fn residualizer_errors_match_fit() {
+        let (z, y) = linear_data(20);
+        let mut bad = y.clone();
+        bad[(3, 0)] = f64::NAN;
+        let res = Residualizer::new(&z, 1e-8).unwrap();
+        assert_eq!(res.residuals(&bad).unwrap_err(), RidgeModel::fit(&z, &bad, 1e-8).unwrap_err());
+        assert!(matches!(res.residuals(&Matrix::zeros(7, 1)), Err(MlError::RowMismatch { .. })));
+        // A design with no columns cannot be factored: the error comes
+        // with the first target, after the target's own checks.
+        let empty = Matrix::zeros(20, 0);
+        let res = Residualizer::new(&empty, 1e-8).unwrap();
+        assert_eq!(res.residuals(&y).unwrap_err(), RidgeModel::fit(&empty, &y, 1e-8).unwrap_err());
+        assert_eq!(res.residuals(&bad).unwrap_err(), MlError::NonFiniteInput);
+        assert!(matches!(
+            Residualizer::new(&Matrix::zeros(1, 2), 1e-8),
+            Err(MlError::TooFewRows { .. })
+        ));
     }
 }

@@ -3,7 +3,10 @@
 
 use explainit_linalg::Matrix;
 use explainit_ml::ridge::r2_columns_mean;
-use explainit_ml::{cross_validated_r2, CvConfig, LassoModel, OlsModel, RidgeModel, Standardizer};
+use explainit_ml::{
+    cross_validated_r2, CvConfig, LassoModel, MlError, OlsModel, Residualizer, RidgeModel,
+    Standardizer,
+};
 use proptest::prelude::*;
 
 fn data_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -11,8 +14,72 @@ fn data_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
 }
 
+/// `Residualizer::residuals` against `RidgeModel::fit(..).residuals(..)`,
+/// bit for bit, for two targets on one factored Z.
+fn residuals_match_fit(z: &Matrix, targets: &[&Matrix]) -> Result<(), TestCaseError> {
+    let residualizer = Residualizer::new(z, 1e-8).expect("finite Z");
+    for target in targets {
+        let fast = residualizer.residuals(target).expect("residuals");
+        let oracle = RidgeModel::fit(z, target, 1e-8).expect("fit").residuals(z, target);
+        prop_assert_eq!(fast.shape(), oracle.shape());
+        for (a, b) in fast.as_slice().iter().zip(oracle.as_slice()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn residualizer_is_bit_identical_to_fit_primal(
+        z in data_strategy(30, 4),
+        y in data_strategy(30, 2),
+        x in data_strategy(30, 3),
+    ) {
+        residuals_match_fit(&z, &[&y, &x])?;
+    }
+
+    #[test]
+    fn residualizer_is_bit_identical_to_fit_dual(
+        z in data_strategy(8, 12),
+        y in data_strategy(8, 1),
+        x in data_strategy(8, 5),
+    ) {
+        residuals_match_fit(&z, &[&y, &x])?;
+    }
+
+    #[test]
+    fn residualizer_is_bit_identical_with_constant_columns(
+        z in data_strategy(24, 3),
+        y in data_strategy(24, 2),
+        level in -5.0f64..5.0,
+    ) {
+        let mut z = z;
+        let mut y = y;
+        for i in 0..24 {
+            z[(i, 1)] = level;
+            y[(i, 0)] = level;
+        }
+        residuals_match_fit(&z, &[&y])?;
+    }
+
+    #[test]
+    fn residualizer_rejects_nan_like_fit(
+        z in data_strategy(20, 3),
+        y in data_strategy(20, 1),
+        row in 0usize..20,
+    ) {
+        let mut bad_z = z.clone();
+        bad_z[(row, 1)] = f64::NAN;
+        prop_assert_eq!(Residualizer::new(&bad_z, 1e-8).unwrap_err(), MlError::NonFiniteInput);
+        prop_assert_eq!(RidgeModel::fit(&bad_z, &y, 1e-8).unwrap_err(), MlError::NonFiniteInput);
+        let mut bad_y = y.clone();
+        bad_y[(row, 0)] = f64::NAN;
+        let residualizer = Residualizer::new(&z, 1e-8).expect("finite Z");
+        prop_assert_eq!(residualizer.residuals(&bad_y).unwrap_err(), MlError::NonFiniteInput);
+    }
 
     #[test]
     fn ridge_shrinkage_is_monotone(x in data_strategy(40, 4), y in data_strategy(40, 1)) {
